@@ -105,8 +105,8 @@ def run_scaling(artifact_path: str = ARTIFACT) -> dict:
     return record
 
 
-#: absolute ceiling on the fio[ios=8] job (seconds).  The table-driven
-#: scrambling/CRC + tuple-heap rewrite runs it in ~1.0 s; 3.0 s is ~3x
+#: absolute ceiling on the fio[ios=8] job (seconds).  The DMI hot path
+#: (no lockstep scrambling, stdlib CRC) + tuple heap run it in ~1 s; 3.0 s is ~3x
 #: headroom for slow CI machines while still catching any reintroduction
 #: of per-bit/per-byte Python on the frame path (which costs 5x+).
 FIO_CEILING_S = 3.0

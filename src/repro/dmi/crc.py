@@ -7,79 +7,28 @@ publish the exact polynomial, so we use CRC-16/CCITT-FALSE (polynomial
 What the experiments exercise is the *behaviour*: any corrupted frame fails
 its check and triggers replay, and an intact frame never does.
 
-A table-driven implementation is provided because frames are checked on
-every transfer in protocol-level simulations.
+The stdlib's ``binascii.crc_hqx`` computes exactly this CRC (XMODEM
+register update, caller-supplied init) in C; frames are checked on every
+transfer, so the simulator uses it rather than a Python table walk.  The
+bit-serial reference it is tested against lives in ``tests/dmi``.
 """
 
 from __future__ import annotations
 
-from typing import List
+from binascii import crc_hqx
 
 CRC16_POLY = 0x1021
 CRC16_INIT = 0xFFFF
 
 
-def _build_table() -> List[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ CRC16_POLY) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return table
-
-
-_TABLE = _build_table()
-
-
-def _advance16(crc: int) -> int:
-    """Advance the CRC register by 16 zero bits (two byte-table steps)."""
-    table = _TABLE
-    crc = ((crc << 8) & 0xFFFF) ^ table[crc >> 8]
-    return ((crc << 8) & 0xFFFF) ^ table[crc >> 8]
-
-
-# Pair tables: one byte-table step is ``step(crc, b) == advance8(crc ^ (b << 8))``
-# (the incoming byte XORs into the top of the register before it shifts out),
-# so two steps collapse to ``advance16(crc ^ (b0 << 8) ^ b1)`` and advance16
-# splits per register byte because it is GF(2)-linear.  Frames are checked on
-# every wire transfer, so crc16 consumes two message bytes per loop iteration.
-_PAIR_HI = tuple(_advance16(v << 8) for v in range(256))
-_PAIR_LO = tuple(_advance16(v) for v in range(256))
-
-
 def crc16(data: bytes, init: int = CRC16_INIT) -> int:
     """CRC-16/CCITT-FALSE over ``data``."""
-    crc = init
-    hi, lo = _PAIR_HI, _PAIR_LO  # local bindings: this runs twice per frame
-    for i in range(0, len(data) - 1, 2):
-        x = crc ^ (data[i] << 8) ^ data[i + 1]
-        crc = hi[x >> 8] ^ lo[x & 0xFF]
-    if len(data) & 1:
-        crc = ((crc << 8) & 0xFFFF) ^ _TABLE[((crc >> 8) ^ data[-1]) & 0xFF]
-    return crc
-
-
-def crc16_bitwise(data: bytes, init: int = CRC16_INIT) -> int:
-    """Bit-serial reference implementation (used to cross-check the table)."""
-    crc = init
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ CRC16_POLY) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-    return crc
+    return crc_hqx(data, init)
 
 
 def append_crc(data: bytes) -> bytes:
     """Return ``data`` with its big-endian CRC-16 appended."""
-    crc = crc16(data)
-    return data + bytes([(crc >> 8) & 0xFF, crc & 0xFF])
+    return data + crc_hqx(data, CRC16_INIT).to_bytes(2, "big")
 
 
 def check_crc(framed: bytes) -> bool:
@@ -90,5 +39,4 @@ def check_crc(framed: bytes) -> bool:
     """
     if len(framed) < 2:
         return False
-    expect = crc16(framed[:-2])
-    return framed[-2] == (expect >> 8) & 0xFF and framed[-1] == expect & 0xFF
+    return crc_hqx(framed[:-2], CRC16_INIT) == int.from_bytes(framed[-2:], "big")

@@ -171,10 +171,6 @@ class Frame:
         self.seq_id = seq_id
         self.ack_seq = ack_seq
 
-    def _pack_header(self, kind: int) -> bytes:
-        ack = NO_ACK if self.ack_seq is None else self.ack_seq
-        return bytes([kind, self.seq_id, ack])
-
     def pack(self) -> bytes:
         raise NotImplementedError
 

@@ -10,7 +10,9 @@ downstream, 21 upstream).  It models:
   while ConTutto's FPGA transceivers recover the clock from the data (CDR)
   and pay extra capture latency (Section 3.2);
 * **scrambling**: the byte stream is scrambled at the transmitter and
-  descrambled at the receiver with per-lane LFSRs;
+  descrambled at the receiver with per-lane LFSRs.  While both ends are in
+  lockstep this cancels exactly, so the link only runs the LFSRs after a
+  resync that caught frames in flight, when the receiver garbles traffic;
 * **bit errors**: an error model flips wire bits with a configurable
   per-frame probability, which surfaces at the receiver as CRC failures and
   exercises the replay machinery.
@@ -21,9 +23,8 @@ The link delivers raw packed bytes; framing and protocol live in
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional
+from typing import Callable, Optional
 
 from ..errors import ConfigurationError
 from ..sim import ClockDomain, Rng, Simulator
@@ -48,6 +49,14 @@ class LinkErrorModel:
     force_drops: int = 0
 
     def corrupt(self, data: bytes, rng: Rng) -> bytes:
+        """Return ``data`` with this frame's bit flips applied.
+
+        Invariant the link relies on: the flips never depend on the bytes
+        of ``data``.  Whether a frame is hit, how many bits flip and where
+        come from ``rng`` and ``len(data)`` alone (a forced drop flips bit
+        0), so corrupting a scrambled frame and descrambling it equals
+        corrupting the plain frame, with the same RNG draws.
+        """
         if self.force_drops == 0 and self.frame_error_rate == 0.0:
             # Clean-run fast path: no RNG consultation per frame.  Rng.chance
             # draws nothing for p=0 either, so stream state is unaffected —
@@ -99,17 +108,11 @@ class SerialLink:
         self.rng = rng or Rng(0, name)
         self._tx_scrambler = BundleScrambler(num_lanes)
         self._rx_scrambler = BundleScrambler(num_lanes)
-        # Delivery is ordered and lossless (corruption flips bits, it never
-        # drops frames), so the receive descrambler stays in lockstep with
-        # the transmitter: the keystream the receiver will generate for a
-        # frame is exactly the keystream it was scrambled with.  The link
-        # therefore carries each in-flight frame's keystream in a FIFO and
-        # descrambles with one big-int XOR instead of running the receive
-        # LFSRs a second time.  The one case where lockstep breaks — a
-        # resync with frames still in flight — switches the receiver to a
-        # live LFSR (see resync()), reproducing the real desync garbage.
-        self._key_fifo: Deque[int] = deque()
-        self._rx_live = False
+        #: frames serialized but not yet delivered
+        self._in_flight = 0
+        #: set by a resync that caught frames in flight, cleared by a resync
+        #: with none; only while set do the scramblers run (see send())
+        self.desynced = False
         # ClockDomain periods are fixed at construction, so the per-frame
         # wire time is a constant — cached because the send path and the
         # ACK-timeout math read it for every frame.
@@ -150,18 +153,16 @@ class SerialLink:
         return self.SERDES_BASE_PS + self.FLIGHT_PS + extra
 
     def resync(self) -> None:
-        """Reset scrambler state on both ends (start of link training)."""
+        """Reset scrambler state on both ends (start of link training).
+
+        Frames still in flight were scrambled against the old keystream, so
+        the reset receiver garbles them and stays out of step with the
+        transmitter until a resync with nothing in flight restarts both
+        ends together.
+        """
         self._tx_scrambler.resync()
         self._rx_scrambler.resync()
-        if self._key_fifo:
-            # Frames are in flight across the resync: the freshly reset
-            # receive scrambler is no longer in lockstep with the keystream
-            # those frames were scrambled with.  From here on run the
-            # receive descrambler as a live state machine so the in-flight
-            # frames garble exactly as they would on real hardware (and the
-            # link stays desynced until the next clean resync).
-            self._key_fifo.clear()
-            self._rx_live = True
+        self.desynced = self._in_flight > 0
 
     # -- transfer ------------------------------------------------------------
 
@@ -179,28 +180,14 @@ class SerialLink:
         self._next_free_ps = start + wire_ps
         self.busy_ps += wire_ps
 
-        em = self.error_model
-        if (
-            em.force_drops == 0
-            and em.frame_error_rate == 0.0
-            and not self._rx_live
-        ):
-            # Clean frame: corruption is additive, so scramble-then-
-            # descramble cancels exactly and the keystream bytes are never
-            # observed — advance the lane LFSRs (state must stay real for
-            # any later resync or fault injection) but skip materializing
-            # and XORing the keystream twice.  Key 0 keeps the FIFO aligned
-            # and makes _arrive's XOR a no-op.
-            self._tx_scrambler.skip_frame(len(packed))
-            wire = packed
-            self._key_fifo.append(0)
-        else:
-            n = len(packed)
-            key = int.from_bytes(self._tx_scrambler.keystream_frame(n), "little")
-            wire = (int.from_bytes(packed, "little") ^ key).to_bytes(n, "little")
-            wire = em.corrupt(wire, self.rng)
-            if not self._rx_live:
-                self._key_fifo.append(key)
+        # In lockstep the receiver XORs out exactly the keystream the
+        # transmitter XORed in, and corruption does not depend on the bytes
+        # it flips (LinkErrorModel.corrupt), so descramble(corrupt(
+        # scramble(x))) == corrupt(x): the keystream is never observable
+        # and is only generated while the ends are desynced.
+        wire = self._tx_scrambler.process(packed) if self.desynced else packed
+        wire = self.error_model.corrupt(wire, self.rng)
+        self._in_flight += 1
         arrival = start + wire_ps + self.latency_ps
         self.frames_sent += 1
         trace = probe.session
@@ -212,15 +199,8 @@ class SerialLink:
         return arrival
 
     def _arrive(self, wire: bytes, original: bytes) -> None:
-        if self._rx_live:
-            received = self._rx_scrambler.process(wire)
-        else:
-            key = self._key_fifo.popleft()
-            if key:
-                n = len(wire)
-                received = (int.from_bytes(wire, "little") ^ key).to_bytes(n, "little")
-            else:
-                received = wire
+        self._in_flight -= 1
+        received = self._rx_scrambler.process(wire) if self.desynced else wire
         if received != original:
             self.frames_corrupted += 1
             trace = probe.session

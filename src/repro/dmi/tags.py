@@ -90,9 +90,3 @@ class TagPool:
             # Wake exactly one waiter per freed tag to avoid thundering herds.
             self._waiters.pop(0).trigger()
         return self.sim.now_ps - issued_at
-
-    def held_since(self, tag: int) -> int:
-        """Issue timestamp of an in-flight tag."""
-        if tag not in self._in_flight:
-            raise ProtocolError(f"tag {tag} is not in flight")
-        return self._in_flight[tag]

@@ -32,10 +32,6 @@ class ProtocolError(ReproError):
     """A DMI protocol invariant was violated (bad tag, bad sequence, ...)."""
 
 
-class CrcError(ProtocolError):
-    """A frame failed its CRC check (normally handled by replay)."""
-
-
 class ReplayError(ProtocolError):
     """Frame replay could not recover the channel."""
 

@@ -159,27 +159,9 @@ class MetricsRegistry:
                 node[parts[-1]] = value
         return root
 
-    def top_counters(self, limit: int = 10) -> List[tuple]:
-        """The ``limit`` largest counters, for quick CLI summaries."""
-        counters = [
-            (m.name, m.count)
-            for m in self._metrics.values()
-            if isinstance(m, Counter)
-        ]
-        counters.sort(key=lambda item: (-item[1], item[0]))
-        return counters[:limit]
-
     def merge_flat(self, values: Dict[str, float], prefix: str = "") -> None:
         """Absorb a legacy flat snapshot (e.g. ``StatsRegistry.snapshot()``)
         as gauges, for components not yet emitting through a session."""
         for key, value in values.items():
             name = f"{prefix}.{key}" if prefix else key
             self.gauge(name).set(value)
-
-
-def registry_from_counters(pairs: Iterable[tuple]) -> MetricsRegistry:
-    """Convenience for tests: build a registry from ``(name, count)`` pairs."""
-    registry = MetricsRegistry()
-    for name, count in pairs:
-        registry.counter(name).add(count)
-    return registry

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dmi.crc import append_crc, check_crc, crc16, crc16_bitwise
+from repro.dmi.crc import append_crc, check_crc, crc16
 from repro.dmi.scrambler import BundleScrambler, LaneScrambler, LfsrStream
+
+from .reference import crc16_bitwise
 
 
 class TestCrc16:
@@ -16,9 +18,10 @@ class TestCrc16:
     def test_empty_input(self):
         assert crc16(b"") == 0xFFFF
 
-    @given(st.binary(min_size=0, max_size=200))
-    def test_table_matches_bitwise(self, data):
+    @given(st.binary(min_size=0, max_size=200), st.integers(0, 0xFFFF))
+    def test_table_matches_bitwise(self, data, init):
         assert crc16(data) == crc16_bitwise(data)
+        assert crc16(data, init) == crc16_bitwise(data, init)
 
     @given(st.binary(min_size=1, max_size=100))
     def test_append_check_roundtrip(self, data):

@@ -1,21 +1,16 @@
-"""Golden-keystream tests pinning the table-driven scrambler rewrite.
+"""Golden-keystream tests pinning the scrambler.
 
-The hex vectors below were captured from the historical bit-serial
-implementation (``LfsrStream.next_byte`` looping ``next_bit``) before the
-table-driven fast path existed.  They pin three independent layers:
+The hex vectors below were captured from the bit-serial LFSR
+implementation.  They pin two independent layers:
 
 * the per-lane LFSR keystream itself (seed mixing included);
 * the bundle striping (round-robin across lanes, restarting at lane 0
   each frame) for the lane counts the DMI actually uses (14 down, 21 up)
-  plus the degenerate 1- and 2-lane configurations;
-* the lazy-skip path, which must leave lane state byte-identical to
-  generating the keystream.
+  plus the degenerate 1- and 2-lane configurations.
 
 Any change to these bytes changes every wire byte in the simulator, so a
 failure here means artifact reproducibility is broken.
 """
-
-import random
 
 from repro.dmi.scrambler import BundleScrambler, LaneScrambler, LfsrStream
 
@@ -66,24 +61,9 @@ class TestLaneGolden:
             got = bytes(stream.next_byte() for _ in range(32))
             assert got.hex() == expect, f"lane {lane}"
 
-    def test_table_blocks_match_golden(self):
+    def test_lane_keystream_matches_golden(self):
         for lane, expect in LANE_GOLDEN.items():
-            assert LfsrStream(lane).next_block(32).hex() == expect, f"lane {lane}"
-
-    def test_table_blocks_match_bit_serial_any_size(self):
-        # odd/even/large block sizes all continue the same stream
-        for size in (1, 2, 3, 7, 8, 31, 64, 257):
-            a, b = LfsrStream(5), LfsrStream(5)
-            got = a.next_block(size)
-            ref = bytes(b.next_byte() for _ in range(size))
-            assert got == ref, f"size {size}"
-
-    def test_skip_bytes_matches_generation(self):
-        for skip in (1, 2, 5, 100, 1023):
-            a, b = LfsrStream(3), LfsrStream(3)
-            a.skip_bytes(skip)
-            b.next_block(skip)
-            assert a.state == b.state, f"skip {skip}"
+            assert LaneScrambler(lane).keystream(32).hex() == expect, f"lane {lane}"
 
 
 class TestBundleGolden:
@@ -102,8 +82,8 @@ class TestBundleGolden:
                 assert got.hex() == expect, f"lanes {lanes}"
 
     def test_lane_scrambler_consumption_matches_bundle(self):
-        # the bundle's inlined striping must consume per-lane keystream
-        # exactly like the public LaneScrambler.keystream API
+        # the bundle's striping must consume per-lane keystream exactly
+        # like the public LaneScrambler.keystream API
         for lanes in (2, 14, 21):
             bundle = BundleScrambler(lanes)
             reference = [LaneScrambler(i) for i in range(lanes)]
@@ -113,26 +93,3 @@ class TestBundleGolden:
                 for i, lane in enumerate(reference):
                     count = base + 1 if i < rem else base
                     assert striped[i::lanes] == lane.keystream(count)
-
-
-class TestLazySkip:
-    def test_skip_then_generate_matches_generate_only(self):
-        rng = random.Random(11)
-        for lanes in (1, 2, 3, 14, 21):
-            generated = BundleScrambler(lanes)
-            skipped = BundleScrambler(lanes)
-            for _ in range(rng.randint(1, 30)):
-                n = rng.randint(1, 60)
-                generated.keystream_frame(n)
-                skipped.skip_frame(n)
-            for probe in (rng.randint(1, 60), 1, 43):
-                assert skipped.keystream_frame(probe) == generated.keystream_frame(
-                    probe
-                ), f"lanes {lanes}"
-
-    def test_resync_discards_pending_skips(self):
-        bundle = BundleScrambler(14)
-        bundle.skip_frame(33)
-        bundle.resync()
-        fresh = BundleScrambler(14)
-        assert bundle.keystream_frame(40) == fresh.keystream_frame(40)

@@ -84,12 +84,11 @@ class TestSerialLink:
 
 
 class TestKeystreamCarry:
-    """The link carries each in-flight frame's keystream (lockstep FIFO);
-    these pin the behaviours that must survive that optimization."""
+    """The link generates no keystream while its ends are in lockstep;
+    these pin the behaviours that must survive that."""
 
     def test_forced_corruption_detected(self):
-        # force_drops exercises the scrambled branch: the corrupted wire
-        # frame must still descramble to original-plus-bit-flip
+        # the corrupted wire frame must arrive as original-plus-bit-flip
         sim = Simulator()
         link = SerialLink(
             sim, "l", 14, dmi_link_clock(8.0),
