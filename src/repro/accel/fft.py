@@ -8,18 +8,22 @@ on the other accelerators" — so the farm, like the other kernels, runs at
 the DIMM ports' bandwidth (1.3 Gsamples/s ~ 10.4 GB/s of sample reads).
 
 The FFT is functionally real: each 1024-sample block is transformed with
-an in-library radix-2 implementation (validated against ``numpy.fft``) and
-the results are written back to the DIMMs, so a read-back sees actual
-spectra.  Compute time per engine is modeled as a pipelined radix-2 core
-at the fabric clock; with enough engines the transfers dominate.
+an in-library radix-2 implementation and the results are written back to
+the DIMMs, so a read-back sees actual spectra.  Its output is bit-identical
+to the element-by-element reference loop in ``tests/accel/reference.py``
+and close to ``numpy.fft``, whose rounding differs.  Compute time per
+engine is modeled as a pipelined radix-2 core at the fabric clock; with
+enough engines the transfers dominate.
 """
 
 from __future__ import annotations
 
+import functools
+from typing import Tuple
+
 import numpy as np
 
 from ..errors import AccelError
-from .access_processor import DMA_CHUNK_BYTES
 from .block import BlockAccelerator, ControlBlock
 
 KERNEL_FFT = 0x12
@@ -29,39 +33,51 @@ SAMPLE_BYTES = 8  # complex64
 BLOCK_BYTES = FFT_POINTS * SAMPLE_BYTES  # 8 KiB — exactly one DMA chunk
 
 
-def radix2_fft(samples: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 DIT FFT over complex64 samples.
+@functools.cache
+def _plan(n: int) -> Tuple[np.ndarray, Tuple[Tuple[int, np.ndarray], ...]]:
+    """Bit-reversal indices and per-stage ``(half, twiddles)`` for size ``n``.
 
-    This is the algorithm the hardware pipeline implements; kept separate
-    so tests can validate it against numpy's FFT.
+    Built on first use of each size, not at import.
     """
-    n = len(samples)
-    if n & (n - 1):
-        raise AccelError(f"FFT size {n} is not a power of two")
-    data = np.asarray(samples, dtype=np.complex128).copy()
-    # bit-reversal permutation
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            data[i], data[j] = data[j], data[i]
-    # butterflies
+    rev = np.zeros(1, dtype=np.intp)
+    while len(rev) < n:
+        rev = np.concatenate((2 * rev, 2 * rev + 1))
+    stages = []
     length = 2
     while length <= n:
         ang = -2j * np.pi / length
-        w_len = np.exp(ang * np.arange(length // 2))
-        for start in range(0, n, length):
-            half = length // 2
-            # copy: the slice is a view and is overwritten before its second use
-            even = data[start : start + half].copy()
-            odd = data[start + half : start + length] * w_len
-            data[start : start + half] = even + odd
-            data[start + half : start + length] = even - odd
+        twiddles = np.exp(ang * np.arange(length // 2))
+        twiddles.setflags(write=False)
+        stages.append((length // 2, twiddles))
         length <<= 1
+    rev.setflags(write=False)
+    return rev, tuple(stages)
+
+
+def radix2_fft(samples: np.ndarray) -> np.ndarray:
+    """Iterative radix-2 DIT FFT over a 1-D power-of-two block of samples.
+
+    This is the algorithm the hardware pipeline implements.  The bit
+    reversal is one gather and each butterfly stage one operation over a
+    ``(n // length, length)`` view, with complex128 intermediates and the
+    same twiddles and even/odd order as the element-by-element loop in
+    ``tests/accel/reference.py``, so the complex64 output is bit-identical
+    to it.  It is close to ``numpy.fft.fft``, whose rounding differs.
+    """
+    data = np.asarray(samples)
+    if data.ndim != 1:
+        raise AccelError(f"FFT input must be 1-D, got shape {data.shape}")
+    n = data.shape[0]
+    if n == 0 or n & (n - 1):
+        raise AccelError(f"FFT size {n} is not a power of two")
+    rev, stages = _plan(n)
+    data = data.astype(np.complex128, copy=False)[rev]
+    for half, twiddles in stages:
+        blocks = data.reshape(-1, 2 * half)
+        even = blocks[:, :half]
+        odd = blocks[:, half:] * twiddles
+        blocks[:, half:] = even - odd
+        blocks[:, :half] += odd
     return data.astype(np.complex64)
 
 

@@ -14,7 +14,7 @@ refills; unused bandwidth flows to whoever is asking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..errors import AccelError
 from ..sim import Signal, Simulator

@@ -15,8 +15,8 @@ these rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from ..errors import ConfigurationError, FirmwareError
 from ..units import GIB

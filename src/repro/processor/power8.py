@@ -16,7 +16,7 @@ terminated by a memory buffer — Centaur or ConTutto.  The socket:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..buffer.base import MemoryBuffer

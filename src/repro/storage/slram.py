@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..errors import StorageError
 from ..processor.power8 import Power8Socket
 from ..sim import Signal, Simulator
-from ..units import CACHE_LINE_BYTES, ns_to_ps
+from ..units import CACHE_LINE_BYTES
 from .pmem import PmemConfig
 
 

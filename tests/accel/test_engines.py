@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.accel import (
     AccessProcessor,
@@ -21,6 +24,8 @@ from repro.errors import AccelError
 from repro.memory import DdrDram, MemoryController
 from repro.sim import Simulator
 from repro.units import MIB, S
+
+from .reference import radix2_fft_loop
 
 CHUNK = 8 << 10
 
@@ -143,29 +148,43 @@ class TestFft:
             )
             assert np.allclose(radix2_fft(x), np.fft.fft(x), rtol=1e-3, atol=1e-3)
 
+    @given(
+        arrays(
+            np.complex64,
+            st.integers(0, 12).map(lambda k: 1 << k),
+            elements=st.complex_numbers(allow_nan=False, allow_infinity=False, width=64),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_radix2_bytes_match_reference_loop(self, x):
+        assert radix2_fft(x).tobytes() == radix2_fft_loop(x).tobytes()
+
     def test_non_power_of_two_rejected(self):
-        with pytest.raises(AccelError):
-            radix2_fft(np.zeros(100, dtype=np.complex64))
+        # size 0 is not a power of two; a 2-D array is not one block
+        for bad in (np.zeros(100), np.zeros(0), np.zeros((4, 8))):
+            with pytest.raises(AccelError):
+                radix2_fft(bad.astype(np.complex64))
 
     def test_farm_writes_real_spectra(self):
+        # 33 blocks: one full 32-block DMA batch and a partial second one
+        blocks = 33
         sim, dimms, ap = fresh()
         rng = np.random.default_rng(5)
-        samples = (rng.standard_normal(2048) + 1j * rng.standard_normal(2048)).astype(
-            np.complex64
-        )
+        n = blocks * 1024
+        samples = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.complex64)
         seed(dimms, samples.tobytes())
         farm = FftEngineFarm(sim, ap, num_engines=2)
         cb = farm.run_to_completion(
             ControlBlock(opcode=KERNEL_FFT, src=0, dst=8 * MIB, length=len(samples) * 8)
         )
         assert cb.status == STATUS_DONE
-        assert cb.result0 == 2  # two 1024-point blocks
+        assert cb.result0 == blocks
         out = np.frombuffer(read_flat(dimms, 8 * MIB, len(samples) * 8), dtype=np.complex64)
-        for b in range(2):
+        for b in range(blocks):
             block = samples[b * 1024 : (b + 1) * 1024]
-            assert np.allclose(
-                out[b * 1024 : (b + 1) * 1024], np.fft.fft(block), rtol=1e-2, atol=1e-2
-            )
+            spectrum = out[b * 1024 : (b + 1) * 1024]
+            assert spectrum.tobytes() == radix2_fft_loop(block).tobytes()
+            assert np.allclose(spectrum, np.fft.fft(block), rtol=1e-2, atol=1e-2)
 
     def test_sample_throughput_near_paper(self):
         sim, dimms, ap = fresh()
