@@ -11,7 +11,6 @@ no longer covers the bandwidth-delay product.
 from ablation_util import make_test_channel, train_channel
 from bench_util import run_once
 
-from repro.dmi import Command, Opcode
 from repro.processor import HostMemoryController
 from repro.sim import Simulator
 from repro.units import S

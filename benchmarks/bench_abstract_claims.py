@@ -11,7 +11,6 @@ from bench_util import run_once
 
 from repro.core.experiment import run_fio_matrix
 from repro.dmi import DOWN_LANES, UP_LANES
-from repro.units import GIB
 
 
 def test_abstract_headline_claims(benchmark):

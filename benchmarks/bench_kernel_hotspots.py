@@ -1,8 +1,8 @@
 """Kernel self-profiler: hotspot map plus the zero-cost-disabled guard.
 
-The DES kernel's dispatch loops check ``profile.active`` once per
-``run()`` call and take the historical untimed loop when no profiler is
-installed (see :mod:`repro.sim.profile`).  This benchmark guards that
+The DES kernel's one drain checks ``profile.active`` once per
+``run()``/``run_until_signal()`` call and takes its untimed body when no
+profiler is installed (see :mod:`repro.sim.profile`).  This benchmark guards that
 promise the same way ``bench_attribution_overhead.py`` guards the
 telemetry nil-checks: the unprofiled run must not be measurably slower
 than the profiled run of the same experiment — if the disabled path
@@ -103,7 +103,7 @@ def test_kernel_hotspots(benchmark, tmp_path):
     })
 
     # the zero-cost-disabled guard: no profiler installed means the
-    # historical untimed loop, so the unprofiled run must not lose to
+    # drain's untimed body, so the unprofiled run must not lose to
     # the profiled one (which times every dispatch)
     assert record["unprofiled_s"] <= record["profiled_s"] * NOISE_CUSHION, (
         f"unprofiled run ({record['unprofiled_s']:.3f}s) measurably slower "

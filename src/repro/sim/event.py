@@ -3,11 +3,10 @@
 Two things live here:
 
 * :class:`ScheduledCall` — an entry in the simulator's event queue binding a
-  callback to a simulated timestamp.  Entries are totally ordered by
-  ``(time_ps, seq)`` so simultaneous events run in scheduling order, which
-  keeps runs deterministic.  The kernel stores heap entries as
-  ``(time_ps, seq, call)`` tuples so ``heapq`` sifts compare C integers —
-  :meth:`__lt__` is kept only for direct comparisons in user code.
+  callback to a simulated timestamp.  The kernel queues it in a
+  ``(time_ps, seq, call)`` heap tuple, so simultaneous events run in
+  scheduling order, which keeps runs deterministic; calls themselves are
+  never compared.
 * :class:`Signal` — a wake-up point processes can wait on.  A signal can be
   triggered at most once with an optional value; waiting on an already
   triggered signal resumes immediately.  This matches the "event" concept in
@@ -26,13 +25,10 @@ class ScheduledCall:
     friends; user code normally only keeps them to :meth:`cancel`.
     """
 
-    __slots__ = ("time_ps", "seq", "fn", "args", "cancelled", "_sim")
+    __slots__ = ("time_ps", "fn", "args", "cancelled", "_sim")
 
-    def __init__(
-        self, time_ps: int, seq: int, fn: Callable[..., Any], args: tuple, sim=None
-    ):
+    def __init__(self, time_ps: int, fn: Callable[..., Any], args: tuple, sim=None):
         self.time_ps = time_ps
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
@@ -49,9 +45,6 @@ class ScheduledCall:
             if sim is not None:
                 self._sim = None
                 sim._live_events -= 1
-
-    def __lt__(self, other: "ScheduledCall") -> bool:
-        return (self.time_ps, self.seq) < (other.time_ps, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"

@@ -13,10 +13,12 @@ Design notes
 * Processes are plain generators (see :mod:`repro.sim.process`); the kernel
   only knows about scheduled callbacks, keeping the core small and auditable.
 * Heap entries are ``(time_ps, seq, call)`` tuples: ``heapq`` sifts compare
-  C integers instead of calling :meth:`ScheduledCall.__lt__` per swap, and
-  ``seq`` is unique so the call object itself is never compared.  A live
-  (not-yet-cancelled) event counter is maintained O(1) across scheduling,
-  cancellation, and dispatch so :attr:`pending_events` never scans the heap.
+  C integers, and ``seq`` is unique so the call object itself is never
+  compared.  A live (not-yet-cancelled) event counter is maintained O(1)
+  across scheduling, cancellation, and dispatch so :attr:`pending_events`
+  never scans the heap.
+* :meth:`Simulator.run` and :meth:`Simulator.run_until_signal` share one
+  drain, :meth:`Simulator._dispatch`, so they share one set of guards.
   See ``docs/kernel.md`` for the hot-path design rules.
 """
 
@@ -34,6 +36,9 @@ from .event import ScheduledCall, Signal
 #: default runaway-loop guard: exactly this many events may execute before
 #: a dispatch loop raises :class:`SimulationError`
 DEFAULT_MAX_EVENTS = 50_000_000
+
+#: the stop signal of :meth:`Simulator.run`: never triggered
+_NEVER = Signal("never")
 
 
 class Simulator:
@@ -68,7 +73,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        call = ScheduledCall(time_ps, seq, fn, args, self)
+        call = ScheduledCall(time_ps, fn, args, self)
         self._live_events += 1
         heapq.heappush(self._queue, (time_ps, seq, call))
         return call
@@ -82,7 +87,7 @@ class Simulator:
         time_ps = self._now_ps + delay_ps
         seq = self._seq
         self._seq = seq + 1
-        call = ScheduledCall(time_ps, seq, fn, args, self)
+        call = ScheduledCall(time_ps, fn, args, self)
         self._live_events += 1
         heapq.heappush(self._queue, (time_ps, seq, call))
         return call
@@ -95,6 +100,8 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the single next event.  Returns ``False`` if the queue is empty."""
+        # Uncounted and uninstrumented on purpose: AccelBlock.run_to_completion
+        # drives table5 through here, and its pinned kernel.* counters say 0.
         queue = self._queue
         while queue:
             call = heapq.heappop(queue)[2]
@@ -104,44 +111,6 @@ class Simulator:
             self._live_events -= 1
             self._now_ps = call.time_ps
             call.fn(*call.args)
-            return True
-        return False
-
-    def _step_traced(self, trace) -> bool:
-        """step() emitting one instant per event (kernel_events sessions)."""
-        queue = self._queue
-        while queue:
-            call = heapq.heappop(queue)[2]
-            if call.cancelled:
-                continue
-            call._sim = None
-            self._live_events -= 1
-            self._now_ps = call.time_ps
-            trace.instant(
-                "kernel", getattr(call.fn, "__qualname__", "event"), call.time_ps
-            )
-            call.fn(*call.args)
-            return True
-        return False
-
-    def _step_profiled(self, prof, trace, trace_events) -> bool:
-        """step() timing each event into the installed kernel profiler."""
-        queue = self._queue
-        while queue:
-            call = heapq.heappop(queue)[2]
-            if call.cancelled:
-                continue
-            call._sim = None
-            self._live_events -= 1
-            self._now_ps = call.time_ps
-            if trace_events:
-                trace.instant(
-                    "kernel", getattr(call.fn, "__qualname__", "event"),
-                    call.time_ps,
-                )
-            t0 = perf_counter()
-            call.fn(*call.args)
-            prof.record(_profile.event_key(call.fn), perf_counter() - t0)
             return True
         return False
 
@@ -152,50 +121,9 @@ class Simulator:
         runaway self-rescheduling loops in model bugs: exactly ``max_events``
         events may execute; the error raises when one more is due.
         """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run())")
-        self._running = True
-        executed = 0
-        # Hoisted so the disabled-telemetry dispatch loop pays nothing per
-        # event beyond a LOAD_FAST; per-event emission only on request.
-        # The same applies to the kernel profiler: its is-None check runs
-        # once per run() call, and the historical untimed loop is taken
-        # verbatim when no profiler is installed.
         trace = probe.session
-        trace_events = trace is not None and trace.kernel_events
-        prof = _profile.active
         start_ps = self._now_ps
-        queue = self._queue
-        try:
-            if prof is not None:
-                executed = self._run_profiled(
-                    until_ps, max_events, trace, trace_events, prof
-                )
-            else:
-                while queue:
-                    time_ps, _, call = queue[0]
-                    if call.cancelled:
-                        heapq.heappop(queue)
-                        continue
-                    if until_ps is not None and time_ps > until_ps:
-                        break
-                    if executed >= max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; likely a scheduling loop"
-                        )
-                    heapq.heappop(queue)
-                    call._sim = None
-                    self._live_events -= 1
-                    self._now_ps = time_ps
-                    if trace_events:
-                        trace.instant(
-                            "kernel", getattr(call.fn, "__qualname__", "event"),
-                            time_ps,
-                        )
-                    call.fn(*call.args)
-                    executed += 1
-        finally:
-            self._running = False
+        executed = self._dispatch(until_ps, max_events, _NEVER)
         if until_ps is not None and self._now_ps < until_ps:
             self._now_ps = until_ps
         if trace is not None:
@@ -204,42 +132,6 @@ class Simulator:
             )
             trace.count("kernel.runs")
             trace.count("kernel.events", executed)
-        return executed
-
-    def _run_profiled(self, until_ps, max_events, trace, trace_events, prof) -> int:
-        """The run() drain loop with per-event wall-time attribution.
-
-        A verbatim copy of the untimed loop plus two ``perf_counter``
-        reads per event — kept separate so the common (unprofiled) path
-        stays exactly as fast as before the profiler existed.
-        """
-        executed = 0
-        prof.runs += 1
-        queue = self._queue
-        while queue:
-            time_ps, _, call = queue[0]
-            if call.cancelled:
-                heapq.heappop(queue)
-                continue
-            if until_ps is not None and time_ps > until_ps:
-                break
-            if executed >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely a scheduling loop"
-                )
-            heapq.heappop(queue)
-            call._sim = None
-            self._live_events -= 1
-            self._now_ps = time_ps
-            if trace_events:
-                trace.instant(
-                    "kernel", getattr(call.fn, "__qualname__", "event"),
-                    time_ps,
-                )
-            t0 = perf_counter()
-            call.fn(*call.args)
-            prof.record(_profile.event_key(call.fn), perf_counter() - t0)
-            executed += 1
         return executed
 
     def run_until_signal(
@@ -251,59 +143,22 @@ class Simulator:
         """Run until ``signal`` triggers; returns its value.
 
         Raises :class:`SimulationError` if the event queue drains (deadlock),
-        the optional timeout elapses before the signal fires, or more than
-        ``max_events`` events execute (a self-rescheduling loop that never
-        fires the signal would otherwise spin forever with no timeout).
+        the next live event lies past the optional timeout, or one more event
+        is due after ``max_events`` executed (a self-rescheduling loop that
+        never fires the signal would otherwise spin forever with no timeout).
         """
-        deadline = None if timeout_ps is None else self._now_ps + timeout_ps
         trace = probe.session
-        trace_events = trace is not None and trace.kernel_events
-        prof = _profile.active
-        if prof is not None:
-            prof.runs += 1
-            step = lambda: self._step_profiled(prof, trace, trace_events)  # noqa: E731
-        elif trace_events:
-            step = lambda: self._step_traced(trace)  # noqa: E731
-        else:
-            step = None  # fast path: dispatch inline, no per-event call
         start_ps = self._now_ps
-        executed = 0
-        queue = self._queue
-        heappop = heapq.heappop
-        while not signal.triggered:
-            if deadline is not None:
-                # Cancelled entries must not shadow the deadline check: a
-                # cancelled head timestamped before the deadline would let
-                # the dispatch below execute the next *live* event past the
-                # timeout, advancing sim time beyond the deadline.
-                while queue and queue[0][2].cancelled:
-                    heappop(queue)
-                if queue and queue[0][0] > deadline:
-                    raise SimulationError(
-                        f"timeout waiting for signal {signal.name!r} after {timeout_ps}ps"
-                    )
-            if executed >= max_events:
+        deadline = None if timeout_ps is None else start_ps + timeout_ps
+        executed = self._dispatch(deadline, max_events, signal)
+        if not signal.triggered:
+            if self._live_events:
                 raise SimulationError(
-                    f"exceeded max_events={max_events}; likely a scheduling loop"
+                    f"timeout waiting for signal {signal.name!r} after {timeout_ps}ps"
                 )
-            if step is None:
-                while queue:
-                    call = heappop(queue)[2]
-                    if not call.cancelled:
-                        break
-                else:
-                    raise SimulationError(
-                        f"deadlock: event queue empty, signal {signal.name!r} never fired"
-                    )
-                call._sim = None
-                self._live_events -= 1
-                self._now_ps = call.time_ps
-                call.fn(*call.args)
-            elif not step():
-                raise SimulationError(
-                    f"deadlock: event queue empty, signal {signal.name!r} never fired"
-                )
-            executed += 1
+            raise SimulationError(
+                f"deadlock: event queue empty, signal {signal.name!r} never fired"
+            )
         if trace is not None:
             trace.complete(
                 "kernel", "run_until_signal", start_ps, self._now_ps,
@@ -312,6 +167,78 @@ class Simulator:
             trace.count("kernel.signal_waits")
             trace.count("kernel.events", executed)
         return signal.value
+
+    def _dispatch(self, until_ps: Optional[int], max_events: int, stop: Signal) -> int:
+        """The one drain behind :meth:`run` and :meth:`run_until_signal`.
+
+        Executes live events in ``(time_ps, seq)`` order until ``stop`` has
+        fired, the queue is empty, or the next live event lies past
+        ``until_ps``; returns how many ran.  Raises when event
+        ``max_events + 1`` is due, or when called from inside a callback.
+        """
+        if self._running:
+            raise SimulationError(
+                "simulator is already running (re-entrant run()/run_until_signal())"
+            )
+        self._running = True
+        # Instrumentation is looked up once per call, never per event: with
+        # it off, the untimed body below pays nothing for its existence.
+        trace = probe.session
+        trace_events = trace is not None and trace.kernel_events
+        prof = _profile.active
+        queue = self._queue
+        heappop = heapq.heappop
+        executed = 0
+        try:
+            if not trace_events and prof is None:
+                while queue and not stop._triggered:
+                    time_ps, _, call = queue[0]
+                    if call.cancelled:
+                        heappop(queue)
+                        continue
+                    if until_ps is not None and time_ps > until_ps:
+                        break
+                    if executed >= max_events:
+                        raise SimulationError(
+                            f"exceeded max_events={max_events}; likely a scheduling loop"
+                        )
+                    heappop(queue)
+                    call._sim = None
+                    self._live_events -= 1
+                    self._now_ps = time_ps
+                    call.fn(*call.args)
+                    executed += 1
+                return executed
+            if prof is not None:
+                prof.runs += 1
+            while queue and not stop._triggered:
+                time_ps, _, call = queue[0]
+                if call.cancelled:
+                    heappop(queue)
+                    continue
+                if until_ps is not None and time_ps > until_ps:
+                    break
+                if executed >= max_events:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; likely a scheduling loop"
+                    )
+                heappop(queue)
+                call._sim = None
+                self._live_events -= 1
+                self._now_ps = time_ps
+                fn = call.fn
+                if trace_events:
+                    trace.instant("kernel", getattr(fn, "__qualname__", "event"), time_ps)
+                if prof is None:
+                    fn(*call.args)
+                else:
+                    t0 = perf_counter()
+                    fn(*call.args)
+                    prof.record(_profile.event_key(fn), perf_counter() - t0)
+                executed += 1
+            return executed
+        finally:
+            self._running = False
 
     @property
     def pending_events(self) -> int:

@@ -38,7 +38,6 @@ from .attribution import (
     journey_record,
     merge_attribution,
     occupancy_sources,
-    read_attribution,
 )
 from .buckets import bucket_of, slice_width, sparkline
 from .chrome import load_chrome_trace, to_chrome_events, write_chrome_trace
@@ -69,7 +68,6 @@ __all__ = [
     "merge_attribution",
     "meta_record",
     "occupancy_sources",
-    "read_attribution",
     "read_jsonl",
     "result_record",
     "slice_width",

@@ -26,7 +26,6 @@ from .artifact import (
     journey_record,
     journey_records,
     merge_attribution,
-    read_attribution,
     session_attribution_records,
     stage_summary_records,
     write_attribution,
@@ -67,7 +66,6 @@ __all__ = [
     "journey_records",
     "merge_attribution",
     "occupancy_sources",
-    "read_attribution",
     "session_attribution_records",
     "stage_summary_records",
     "write_attribution",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-from ..artifact import read_jsonl, write_jsonl
+from ..artifact import write_jsonl
 from .breakdown import LatencyBreakdown
 from .journey import Journey
 
@@ -142,11 +142,6 @@ def session_attribution_records(session) -> List[dict]:
         })
     records.extend(stage_summary_records(breakdown))
     return records
-
-
-def read_attribution(path: str) -> List[dict]:
-    """Load an attribution artifact (same JSONL framing as telemetry)."""
-    return read_jsonl(path)
 
 
 def journey_records(records: Iterable[dict]) -> List[dict]:

@@ -15,7 +15,7 @@ from repro.dmi import Command, Opcode
 from repro.errors import ConfigurationError, ProtocolError
 from repro.memory import DdrDram
 from repro.sim import Signal, Simulator
-from repro.units import GIB, MIB
+from repro.units import MIB
 
 
 def make_centaur(sim, config=DEFAULT, ports=4, capacity=256 * MIB):

@@ -13,7 +13,6 @@ from repro import (
     run_fig8,
     run_table1,
     run_table2,
-    run_table3,
     run_table5,
 )
 from repro.core import calibration as cal

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.fpga import (
-    BASE_BLOCK_COSTS,
     BlockCost,
     DesignResources,
     FpgaTimingConfig,

@@ -7,11 +7,9 @@ from repro.buffer import Centaur
 from repro.errors import FirmwareError, SimulationError
 from repro.firmware import (
     CardDescriptor,
-    CentaurFsiSlave,
     ConTuttoFsiSlave,
     CsrBlock,
     IplFlow,
-    PluggedCard,
     PowerSequencer,
 )
 from repro.errors import PlugRuleError
@@ -127,15 +125,32 @@ class TestMiscGuards:
         assert sig.value is None
         assert not sig.triggered
 
-    def test_simulator_run_is_not_reentrant(self):
+    @pytest.mark.parametrize("outer,inner", [
+        ("run", "run"),
+        ("run", "run_until_signal"),
+        ("run_until_signal", "run"),
+        ("run_until_signal", "run_until_signal"),
+    ])
+    def test_simulator_run_is_not_reentrant(self, outer, inner):
         sim = Simulator()
+        done = Signal("done")
+        seen = []
+
+        def drive(how):
+            return sim.run() if how == "run" else sim.run_until_signal(done)
 
         def reenter():
-            with pytest.raises(SimulationError):
-                sim.run()
+            with pytest.raises(SimulationError, match="re-entrant"):
+                drive(inner)
+            seen.append(sim.now_ps)
 
         sim.call_after(10, reenter)
-        sim.run()
+        sim.trigger_after(20, done)
+        sim.call_after(30, seen.append, "after")
+        drive(outer)
+        # the inner call dispatched nothing: the callback returned at t=10
+        assert seen[0] == 10
+        assert done.triggered
 
     def test_centaur_rejects_empty_device_list(self):
         from repro.errors import ConfigurationError

@@ -9,7 +9,6 @@ from repro.memory import (
     PatrolScrubber,
     ScrubConfig,
 )
-from repro.memory.scrubber import us_to_ps
 from repro.sim import Simulator
 from repro.units import CACHE_LINE_BYTES, MIB
 

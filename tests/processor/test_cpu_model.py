@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.processor import (
     POWER8_HIERARCHY,
-    CacheHierarchy,
     CpuModel,
     WorkloadProfile,
 )

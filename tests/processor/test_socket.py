@@ -6,7 +6,7 @@ from repro.buffer import Centaur, LATENCY_OPTIMIZED, RELAXED
 from repro.errors import ConfigurationError, FirmwareError
 from repro.fpga import ConTuttoBuffer
 from repro.memory import DdrDram
-from repro.processor import Power8Socket, SocketConfig
+from repro.processor import Power8Socket
 from repro.sim import Rng, Simulator
 from repro.units import GIB, MIB
 

@@ -1,9 +1,9 @@
 """Regression tests for the kernel's timeout/guard edge cases.
 
-These pin three dispatch-loop bugs fixed alongside the tuple-heap
-rewrite, plus the cancelled-event semantics every one of the four
-dispatch loops (plain, kernel-events traced, profiled, signal-wait)
-must share:
+``run()`` and ``run_until_signal()`` share one drain with two bodies
+(untimed, and instrumented for kernel-events traces and the profiler).
+These pin guard bugs fixed in earlier dispatch loops, plus the
+cancelled-event semantics both wrappers and both bodies must share:
 
 * ``run_until_signal``'s deadline check must look past *cancelled* heap
   heads — a stale cancelled entry timestamped before the deadline used
@@ -12,7 +12,9 @@ must share:
   events before raising, never one more;
 * ``run_until_signal`` must honour ``max_events`` at all (a
   self-rescheduling loop that never fires the signal and never passes a
-  timeout would otherwise spin forever).
+  timeout would otherwise spin forever), and, like ``run()``, raise only
+  when one more event is due: a queue that drains at the limit is a
+  deadlock.
 """
 
 import pytest
@@ -91,6 +93,16 @@ class TestExactMaxEvents:
         assert sim.run(max_events=5) == 5
         assert seen == [0, 1, 2, 3, 4]
 
+    def test_signal_wait_at_the_limit_reports_deadlock(self):
+        # exactly max_events ran and nothing else is due: the queue
+        # drained without the signal, so this is a deadlock
+        sim = Simulator()
+        for i in range(5):
+            sim.call_after(10 * (i + 1), lambda: None)
+        with pytest.raises(SimulationError, match="deadlock"):
+            sim.run_until_signal(Signal("never"), max_events=5)
+        assert sim.now_ps == 50
+
     def test_profiled_run_executes_exactly_max_events(self):
         sim = Simulator()
         executed = []
@@ -107,7 +119,7 @@ class TestExactMaxEvents:
 
 
 class TestCancelledAcrossDispatchLoops:
-    """One cancelled + one live event through every dispatch loop."""
+    """One cancelled + one live event through both wrappers and bodies."""
 
     def _schedule(self, sim):
         seen = []

@@ -10,7 +10,7 @@ from repro.telemetry import (
     TraceSession,
     journey_record,
     merge_attribution,
-    read_attribution,
+    read_jsonl,
 )
 from repro.telemetry.attribution import (
     journey_chrome_extras,
@@ -195,7 +195,7 @@ class TestArtifact:
             make_journey(session.journeys, scenario="t3")
         path = tmp_path / "attribution.jsonl"
         session.write_attribution(path)
-        records = read_attribution(path)
+        records = read_jsonl(path)
         assert all(r["schema"] == ATTRIBUTION_SCHEMA for r in records)
         assert records[0]["kind"] == "meta"
         assert records[0]["journeys"] == 1
@@ -215,7 +215,7 @@ class TestArtifact:
             pass
         path = tmp_path / "attribution.jsonl"
         assert session.write_attribution(path) == 1
-        records = read_attribution(path)
+        records = read_jsonl(path)
         assert records[0]["kind"] == "meta"
         assert records[0]["enabled"] is False
 
@@ -245,7 +245,7 @@ class TestArtifact:
         )
         path = tmp_path / "merged.jsonl"
         write_attribution(path, records)
-        assert read_attribution(path) == records
+        assert read_jsonl(path) == records
 
 
 class TestChromeFlows:
