@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional, Union
 
 from ..errors import ProtocolError, ReplayError
 from ..sim import Signal, Simulator
@@ -54,6 +54,21 @@ from .replay import DEFAULT_DEPTH, ReplayBuffer
 #: chunk offset value that marks a byte-enable mask chunk (masks are 16 bytes
 #: of bits covering the 128-byte line; real offsets are 0..112)
 MASK_CHUNK_OFFSET = CACHE_LINE_BYTES
+
+
+class CrcDrop:
+    """What :meth:`FrameEndpoint.decode` returns for bytes that fail CRC or
+    do not parse.  ``training`` marks an image whose kind byte says training
+    frame: its drop is counted but not traced."""
+
+    __slots__ = ("training",)
+
+    def __init__(self, training: bool):
+        self.training = training
+
+
+_PAYLOAD_DROP = CrcDrop(training=False)
+_TRAINING_DROP = CrcDrop(training=True)
 
 
 @dataclass
@@ -162,12 +177,12 @@ class FrameEndpoint:
             seq = self._next_tx_seq
             self._next_tx_seq = next_seq(seq)
             frame = self._build_frame(seq, fields)
-            self.tx_link.send(frame.pack())
-            # Hold the frame OBJECT (not its packed bytes): retransmissions
-            # re-pack with the ACK field refreshed.  Stamp the hold with the
-            # time the frame finishes serializing — under a transmit backlog
-            # that is later than now, and the ACK timer must not start
-            # before the frame even leaves.
+            self.tx_link.send(frame)
+            # Retransmissions send copies with the ACK field refreshed (see
+            # _resend).  Stamp the hold with the time the frame finishes
+            # serializing — under a transmit backlog that is later than
+            # now, and the ACK timer must not start before the frame even
+            # leaves.
             self._replay.hold(seq, frame, self.tx_link.next_free_ps)
             self._last_tx_frame = frame
         self._schedule_ack_check()
@@ -239,28 +254,29 @@ class FrameEndpoint:
             # last upstream frame (a duplicate the peer ignores) until ready.
             n_freeze = max(1, prep // max(self.tx_link.frame_wire_ps, 1))
             for _ in range(min(n_freeze, 64)):
-                self.tx_link.send(self._repack(self._last_tx_frame))
+                self._resend(self._last_tx_frame)
                 self.freeze_frames_sent += 1
                 if trace is not None:
                     trace.count("dmi.freeze_frames")
         self.sim.call_after(prep, self._do_replay)
 
-    def _repack(self, frame: Frame) -> bytes:
-        """Serialize with the ACK field refreshed to the current state.
+    def _resend(self, frame: Frame) -> None:
+        """Retransmit ``frame`` with the ACK field refreshed to the current state.
 
-        Re-sending a frame with the ACK it was *originally* packed with is
+        Re-sending a frame with the ACK it was *originally* sent with is
         dangerous: after the 6-bit sequence space wraps, that stale value
         can alias into the peer's live transmit window and cumulatively
-        retire frames the peer never actually delivered to us.
+        retire frames the peer never actually delivered to us.  The
+        retransmission is a new frame: a copy still in flight keeps the ACK
+        it was sent with.
         """
-        frame.ack_seq = self._last_accepted
-        return frame.pack()
+        self.tx_link.send(frame.with_ack(self._last_accepted))
 
     def _do_replay(self) -> None:
         if self.failed:
             return
         for _, frame in self._replay.frames_for_replay():
-            self.tx_link.send(self._repack(frame))
+            self._resend(frame)
             self._last_tx_frame = frame
         # Restart ACK timers from when the replay burst has fully drained
         # onto the wire, not from now — otherwise a backlog triggers another
@@ -309,44 +325,52 @@ class FrameEndpoint:
 
     # -- receive ------------------------------------------------------------
 
-    def deliver(self, raw: bytes) -> None:
+    def deliver(self, frame: Union[Frame, CrcDrop]) -> None:
         """Link receiver callback (wired via :meth:`SerialLink.connect`)."""
-        self.sim.call_after(self.config.rx_overhead_ps, self._process_rx, raw)
+        self.sim.call_after(self.config.rx_overhead_ps, self._process_rx, frame)
+
+    def decode(self, raw: bytes) -> Union[Frame, CrcDrop]:
+        """Decode bytes that arrived changed (wired via :meth:`SerialLink.connect`).
+
+        The kind byte picks the decoder: a training frame, or the frame class
+        this endpoint receives.  Bytes that fail CRC or do not parse become a
+        :class:`CrcDrop`.
+        """
+        training = bool(raw) and raw[0] == TrainingFrame.KIND
+        try:
+            if training:
+                return TrainingFrame.unpack(raw)
+            return self.frame_in_cls.unpack(raw)
+        except ProtocolError:
+            return _TRAINING_DROP if training else _PAYLOAD_DROP
 
     def send_training_signature(self, signature: int) -> None:
         """Transmit an FRTL-measurement signature (training only)."""
-        self.tx_link.send(TrainingFrame(signature).pack())
+        self.tx_link.send(TrainingFrame(signature))
 
-    def _handle_training(self, raw: bytes) -> None:
-        try:
-            frame = TrainingFrame.unpack(raw)
-        except ProtocolError:
-            self.crc_drops += 1
-            return
+    def _handle_training(self, frame: TrainingFrame) -> None:
         if self.training_echo and not frame.echoed:
             # Mirror the signature back after our internal pipeline delay —
             # this is what makes the measured FRTL include the buffer logic.
             self.sim.call_after(
                 self.config.tx_overhead_ps,
-                lambda: self.tx_link.send(TrainingFrame(frame.signature, echoed=True).pack()),
+                lambda: self.tx_link.send(TrainingFrame(frame.signature, echoed=True)),
             )
         elif self.on_training is not None:
             self.on_training(frame)
 
-    def _process_rx(self, raw: bytes) -> None:
+    def _process_rx(self, frame: Union[Frame, CrcDrop]) -> None:
         if self.failed:
             return
-        if raw and raw[0] == TrainingFrame.KIND:
-            self._handle_training(raw)
-            return
-        try:
-            frame = self.frame_in_cls.unpack(raw)
-        except ProtocolError:
+        if isinstance(frame, CrcDrop):
             self.crc_drops += 1
             trace = probe.session
-            if trace is not None:
+            if trace is not None and not frame.training:
                 trace.instant("dmi", f"crc_drop:{self.name}", self.sim.now_ps)
                 trace.count("dmi.crc_drops")
+            return
+        if isinstance(frame, TrainingFrame):
+            self._handle_training(frame)
             return
         # 1) the ACK piggybacked on this frame retires our transmitted frames
         if frame.ack_seq is not None:
@@ -422,7 +446,7 @@ class FrameEndpoint:
             seq = (oldest[0] - 1) % SEQ_MOD
         else:
             seq = (self._next_tx_seq - 1) % SEQ_MOD
-        self.tx_link.send(self._frame_out_cls(seq, self._last_accepted).pack())
+        self.tx_link.send(self._frame_out_cls(seq, self._last_accepted))
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +480,9 @@ class HostCommandLayer:
         """Send ``command`` downstream; returns a Signal firing with Response."""
         if command.tag in self._pending:
             raise ProtocolError(f"tag {command.tag} already has a command in flight")
+        # built first: an address the frame cannot carry raises before the
+        # tag is taken
+        header = CommandHeader(command.opcode, command.tag, command.address)
         done = Signal(f"cmd.tag{command.tag}")
         self._pending[command.tag] = _HostPending(command, done, self.sim.now_ps)
         self.commands_issued += 1
@@ -467,7 +494,6 @@ class HostCommandLayer:
         if command.opcode.has_downstream_data:
             assert command.data is not None
             first_chunk = DataChunk(command.tag, 0, command.data[:DOWN_DATA_CHUNK])
-        header = CommandHeader(command.opcode, command.tag, command.address)
         self.endpoint.enqueue(command=header, chunk=first_chunk)
 
         if command.opcode is Opcode.PARTIAL_WRITE:
@@ -686,8 +712,8 @@ class DmiChannel:
             sim, f"{name}.buffer", up_link, DownstreamFrame, buffer_config,
             on_payload=self._buffer_payload, on_fail=self._on_fail,
         )
-        down_link.connect(self.buffer_endpoint.deliver)
-        up_link.connect(self.host_endpoint.deliver)
+        down_link.connect(self.buffer_endpoint.deliver, self.buffer_endpoint.decode)
+        up_link.connect(self.host_endpoint.deliver, self.host_endpoint.decode)
 
         self.host = HostCommandLayer(sim, self.host_endpoint)
         self.buffer = BufferCommandLayer(

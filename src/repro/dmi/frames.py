@@ -20,10 +20,15 @@ The logical packed encoding used for CRC/scrambling/error-injection is a few
 bytes larger than the physical frame (we keep field encodings byte-aligned
 for auditability); the *timing* model always uses the physical wire size.
 
-Every frame crossing the wire is packed once and unpacked once, so the
-classes here sit on the simulator's hot path: they use ``__slots__``, pack
-through a single ``b"".join``, and unpack by index instead of peeling
-slices (see ``docs/kernel.md``).
+Frames cross the link as objects.  A frame gets its packed byte image
+only when those bytes are observable: when the link's error model hits it
+or while the link's scramblers are out of step (``docs/kernel.md``,
+rule 2).  A frame therefore never changes once it is sent: a
+retransmission with a refreshed ACK is a new frame (:meth:`with_ack`), and
+every field is validated at construction, not at pack time.  The classes
+use ``__slots__`` because every frame is built on the simulator's hot
+path; the byte paths pack through a single ``b"".join`` and unpack by
+index instead of peeling slices.
 """
 
 from __future__ import annotations
@@ -57,13 +62,13 @@ class CommandHeader:
     __slots__ = ("opcode", "tag", "address")
 
     def __init__(self, opcode: Opcode, tag: int, address: int):
+        if not 0 <= address < (1 << 48):
+            raise ProtocolError(f"address {address:#x} exceeds 48-bit space")
         self.opcode = opcode
         self.tag = tag
         self.address = address
 
     def pack(self) -> bytes:
-        if not 0 <= self.address < (1 << 48):
-            raise ProtocolError(f"address {self.address:#x} exceeds 48-bit space")
         return bytes([_OPCODE_CODES[self.opcode], self.tag]) + self.address.to_bytes(6, "big")
 
     @classmethod
@@ -97,13 +102,13 @@ class DataChunk:
     __slots__ = ("tag", "offset", "data")
 
     def __init__(self, tag: int, offset: int, data: bytes):
+        if len(data) > 255:
+            raise ProtocolError("data chunk too large to encode")
         self.tag = tag
         self.offset = offset          # byte offset within the 128B line
         self.data = data
 
     def pack(self) -> bytes:
-        if len(self.data) > 255:
-            raise ProtocolError("data chunk too large to encode")
         return bytes([self.tag, self.offset, len(self.data)]) + self.data
 
     @classmethod
@@ -174,6 +179,10 @@ class Frame:
     def pack(self) -> bytes:
         raise NotImplementedError
 
+    def with_ack(self, ack_seq: Optional[int]) -> "Frame":
+        """A copy of this frame carrying ``ack_seq`` (sent frames never change)."""
+        raise NotImplementedError
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         ack = f" ack={self.ack_seq}" if self.ack_seq is not None else ""
         return f"<{type(self).__name__} seq={self.seq_id}{ack}>"
@@ -219,6 +228,9 @@ class DownstreamFrame(Frame):
     @property
     def is_idle(self) -> bool:
         return self.command is None and self.chunk is None
+
+    def with_ack(self, ack_seq: Optional[int]) -> "DownstreamFrame":
+        return DownstreamFrame(self.seq_id, ack_seq, self.command, self.chunk)
 
     def pack(self) -> bytes:
         command, chunk = self.command, self.chunk
@@ -278,6 +290,9 @@ class UpstreamFrame(Frame):
     @property
     def is_idle(self) -> bool:
         return not self.dones and self.chunk is None
+
+    def with_ack(self, ack_seq: Optional[int]) -> "UpstreamFrame":
+        return UpstreamFrame(self.seq_id, ack_seq, self.dones, self.chunk)
 
     def pack(self) -> bytes:
         dones, chunk = self.dones, self.chunk
@@ -343,11 +358,6 @@ class TrainingFrame(Frame):
         if len(raw) != 6 or raw[0] != cls.KIND:
             raise ProtocolError("not a training frame")
         return cls(int.from_bytes(raw[4:6], "big"), echoed=bool(raw[3]))
-
-
-def frame_kind(framed: bytes) -> Optional[int]:
-    """Peek the kind byte of a packed frame (``None`` if too short)."""
-    return framed[0] if framed else None
 
 
 def next_seq(seq: int) -> int:

@@ -17,19 +17,22 @@ downstream, 21 upstream).  It models:
   per-frame probability, which surfaces at the receiver as CRC failures and
   exercises the replay machinery.
 
-The link delivers raw packed bytes; framing and protocol live in
-:mod:`repro.dmi.channel`.
+Frames cross the link as objects.  A frame is packed (with its CRC) only
+when its bytes are observable — the error model hit it, or the link is
+desynced — and bytes that arrive changed are handed to the receiver's
+decoder, which turns them into a frame or a CRC drop.  Framing and
+protocol live in :mod:`repro.dmi.channel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from ..errors import ConfigurationError
 from ..sim import ClockDomain, Rng, Simulator
 from ..telemetry import probe
-from .frames import FRAME_UI
+from .frames import FRAME_UI, Frame
 from .scrambler import BundleScrambler
 
 
@@ -48,14 +51,23 @@ class LinkErrorModel:
     #: fault injection); consumed before the stochastic rate is consulted
     force_drops: int = 0
 
-    def corrupt(self, data: bytes, rng: Rng) -> bytes:
+    def corrupt(
+        self, data: Union[Frame, bytes], rng: Rng
+    ) -> Union[Frame, bytes]:
         """Return ``data`` with this frame's bit flips applied.
 
+        ``data`` is a frame or a packed byte image.  A frame the model
+        misses comes back unchanged, as the same object; a hit packs it and
+        returns the flipped image.  Flips that cancel out leave the image
+        equal to the input, so a frame comes back unchanged then too: a
+        returned image always differs from the frame's own.
+
         Invariant the link relies on: the flips never depend on the bytes
-        of ``data``.  Whether a frame is hit, how many bits flip and where
-        come from ``rng`` and ``len(data)`` alone (a forced drop flips bit
-        0), so corrupting a scrambled frame and descrambling it equals
-        corrupting the plain frame, with the same RNG draws.
+        of ``data``.  Whether a frame is hit comes from ``rng`` alone (a
+        forced drop flips bit 0); how many bits flip and where come from
+        ``rng`` and the image length, which is needed only after a hit.  So
+        corrupting a scrambled frame and descrambling it equals corrupting
+        the plain frame, with the same RNG draws.
         """
         if self.force_drops == 0 and self.frame_error_rate == 0.0:
             # Clean-run fast path: no RNG consultation per frame.  Rng.chance
@@ -64,17 +76,22 @@ class LinkErrorModel:
             return data
         if self.force_drops > 0:
             self.force_drops -= 1
-            out = bytearray(data)
+            out = bytearray(_image(data))
             out[0] ^= 1
             return bytes(out)
         if not rng.chance(self.frame_error_rate):
             return data
-        out = bytearray(data)
+        image = _image(data)
+        out = bytearray(image)
         flips = rng.randint(1, max(1, self.max_flips))
         for _ in range(flips):
             bit = rng.randint(0, len(out) * 8 - 1)
             out[bit // 8] ^= 1 << (bit % 8)
-        return bytes(out)
+        return data if out == image else bytes(out)
+
+
+def _image(data: Union[Frame, bytes]) -> bytes:
+    return data.pack() if isinstance(data, Frame) else data
 
 
 class SerialLink:
@@ -120,7 +137,8 @@ class SerialLink:
         self._next_free_ps = 0
         #: span label, formatted once — send() traces every frame
         self._trace_label = f"frame:{name}"
-        self._deliver: Optional[Callable[[bytes], None]] = None
+        self._deliver: Optional[Callable[[object], None]] = None
+        self._decode: Optional[Callable[[bytes], object]] = None
         # Stats
         self.frames_sent = 0
         self.frames_corrupted = 0
@@ -128,11 +146,20 @@ class SerialLink:
 
     # -- wiring ------------------------------------------------------------
 
-    def connect(self, deliver: Callable[[bytes], None]) -> None:
-        """Attach the receiver callback; called once during channel assembly."""
+    def connect(
+        self, deliver: Callable[[object], None], decode: Callable[[bytes], object]
+    ) -> None:
+        """Attach the receiver; called once during channel assembly.
+
+        ``deliver`` receives every arriving frame.  A frame whose bytes
+        arrive changed is first passed, as bytes, through ``decode``, which
+        returns the frame they decode to or the receiver's CRC-drop marker;
+        ``deliver`` gets that result instead.
+        """
         if self._deliver is not None:
             raise ConfigurationError(f"link {self.name!r} already connected")
         self._deliver = deliver
+        self._decode = decode
 
     # -- timing ------------------------------------------------------------
 
@@ -166,12 +193,13 @@ class SerialLink:
 
     # -- transfer ------------------------------------------------------------
 
-    def send(self, packed: bytes) -> int:
-        """Transmit one packed frame; returns its delivery timestamp (ps).
+    def send(self, frame: Frame) -> int:
+        """Transmit one frame; returns its delivery timestamp (ps).
 
         Frames serialize back to back: a send issued while the wire is busy
         queues behind the in-flight frame (the protocol layer paces itself,
-        but training patterns burst).
+        but training patterns burst).  The frame must not change after this
+        call: it may be delivered as the same object.
         """
         if self._deliver is None:
             raise ConfigurationError(f"link {self.name!r} has no receiver connected")
@@ -184,9 +212,17 @@ class SerialLink:
         # transmitter XORed in, and corruption does not depend on the bytes
         # it flips (LinkErrorModel.corrupt), so descramble(corrupt(
         # scramble(x))) == corrupt(x): the keystream is never observable
-        # and is only generated while the ends are desynced.
-        wire = self._tx_scrambler.process(packed) if self.desynced else packed
-        wire = self.error_model.corrupt(wire, self.rng)
+        # and is only generated while the ends are desynced.  In lockstep
+        # the frame goes out as an object, packed only if the error model
+        # hits it.
+        if self.desynced:
+            packed = frame.pack()
+            wire = self.error_model.corrupt(
+                self._tx_scrambler.process(packed), self.rng
+            )
+        else:
+            packed = None
+            wire = self.error_model.corrupt(frame, self.rng)
         self._in_flight += 1
         arrival = start + wire_ps + self.latency_ps
         self.frames_sent += 1
@@ -195,20 +231,40 @@ class SerialLink:
             # serialization start through delivery: the whole wire transit
             trace.complete("dmi", self._trace_label, start, arrival)
             trace.count("dmi.frames_sent")
-        self.sim.call_at(arrival, self._arrive, wire, packed)
+        self.sim.call_at(arrival, self._arrive, frame, packed, wire)
         return arrival
 
-    def _arrive(self, wire: bytes, original: bytes) -> None:
+    def _arrive(
+        self, frame: Frame, packed: Optional[bytes], wire: Union[Frame, bytes]
+    ) -> None:
+        """Deliver ``frame``, which went out as ``wire`` (image ``packed``).
+
+        ``wire`` is the frame itself when it left in lockstep untouched,
+        otherwise bytes: the corrupted image, or the scrambled one when it
+        left desynced (then ``packed`` is its plain image).
+        """
         self._in_flight -= 1
-        received = self._rx_scrambler.process(wire) if self.desynced else wire
-        if received != original:
-            self.frames_corrupted += 1
-            trace = probe.session
-            if trace is not None:
-                trace.instant("dmi", f"corrupt:{self.name}", self.sim.now_ps)
-                trace.count("dmi.frames_corrupted")
-        assert self._deliver is not None
-        self._deliver(received)
+        if self.desynced:
+            # the receiver descrambles whatever arrives, including frames
+            # that left in lockstep before the resync that desynced it
+            if packed is None:
+                packed = frame.pack()
+            received = self._rx_scrambler.process(packed if wire is frame else wire)
+            intact = received == packed
+        else:
+            # corrupt() returns an image only when it differs from the frame's
+            received = wire
+            intact = wire is frame
+        assert self._deliver is not None and self._decode is not None
+        if intact:
+            self._deliver(frame)
+            return
+        self.frames_corrupted += 1
+        trace = probe.session
+        if trace is not None:
+            trace.instant("dmi", f"corrupt:{self.name}", self.sim.now_ps)
+            trace.count("dmi.frames_corrupted")
+        self._deliver(self._decode(received))
 
     def utilization(self, window_ps: int) -> float:
         """Fraction of ``window_ps`` the wire spent serializing frames."""

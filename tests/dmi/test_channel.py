@@ -6,6 +6,7 @@ from repro.dmi import (
     Command,
     DmiChannel,
     EndpointConfig,
+    FrameEndpoint,
     LinkErrorModel,
     LinkTrainer,
     Opcode,
@@ -23,15 +24,16 @@ def make_channel(
     buffer_config=None,
     service_delay_ps=50_000,
     seed=0,
+    link_cls=SerialLink,
 ):
     """A channel against a simple in-memory backing store."""
     clock = dmi_link_clock(8.0)
-    down = SerialLink(
+    down = link_cls(
         sim, "down", 14, clock, cdr_capture=True,
         error_model=LinkErrorModel(frame_error_rate=error_rate),
         rng=Rng(1000 + seed, "down"),
     )
-    up = SerialLink(
+    up = link_cls(
         sim, "up", 21, clock,
         error_model=LinkErrorModel(frame_error_rate=error_rate),
         rng=Rng(2000 + seed, "up"),
@@ -64,6 +66,14 @@ def make_channel(
     )
     channel = DmiChannel(sim, down, up, EndpointConfig(), buffer_config, handler)
     return channel, store
+
+
+def endpoint_decoder(sim, frame_in_cls):
+    """The decoder a :class:`FrameEndpoint` receiving ``frame_in_cls``
+    hands its link."""
+    return FrameEndpoint(
+        sim, "rx", None, frame_in_cls, EndpointConfig(), on_payload=None
+    ).decode
 
 
 def train(sim, channel, seed=7):
@@ -132,6 +142,17 @@ class TestCleanChannel:
         channel.host.issue(Command(Opcode.READ, 0, 3))
         with pytest.raises(ProtocolError):
             channel.host.issue(Command(Opcode.READ, 128, 3))
+
+    def test_address_beyond_48_bits_rejected_at_issue(self):
+        # the frame is never packed on a clean link, so the header check
+        # must run when the command header is built
+        sim = Simulator()
+        channel, _ = make_channel(sim)
+        train(sim, channel)
+        with pytest.raises(ProtocolError):
+            channel.host.issue(Command(Opcode.READ, 1 << 48, 4))
+        assert channel.host.in_flight == 0  # the tag was not taken
+        sim.run_until_signal(channel.host.issue(Command(Opcode.READ, 0, 4)))
 
     def test_no_replays_on_clean_link(self):
         sim = Simulator()

@@ -1,7 +1,9 @@
-"""White-box tests for FrameEndpoint internals: timers, idle ACKs, repack."""
+"""White-box tests for FrameEndpoint internals: timers, idle ACKs, repack, decode."""
 
-from repro.dmi import Command, DownstreamFrame, Opcode
+from repro.dmi import Command, DownstreamFrame, Opcode, TrainingFrame, UpstreamFrame
+from repro.dmi.channel import CrcDrop
 from repro.sim import Simulator
+from repro.telemetry import TraceSession
 
 from .test_channel import make_channel, train
 
@@ -65,35 +67,51 @@ class TestIdleAckBehaviour:
         assert ep.tx_link.frames_sent - sent_before <= 2
 
 
+def record_sends(link):
+    """Capture every frame ``link`` sends (and still send it)."""
+    sent = []
+    original_send = link.send
+    link.send = lambda frame: (sent.append(frame), original_send(frame))[1]
+    return sent
+
+
 class TestRepack:
     def test_repack_refreshes_ack_field(self):
         sim = Simulator()
         channel = quiet_channel(sim)
         ep = channel.host_endpoint
+        sent = record_sends(ep.tx_link)
         frame = DownstreamFrame(seq_id=5, ack_seq=None)
         ep._last_accepted = 9
-        packed = ep._repack(frame)
-        out = DownstreamFrame.unpack(packed)
-        assert out.ack_seq == 9
+        ep._resend(frame)
         ep._last_accepted = 23
-        out = DownstreamFrame.unpack(ep._repack(frame))
-        assert out.ack_seq == 23
+        ep._resend(frame)
+        assert [DownstreamFrame.unpack(f.pack()).ack_seq for f in sent] == [9, 23]
+        assert [f.seq_id for f in sent] == [5, 5]
+        # each retransmission is a new frame; the held one never changes
+        assert frame.ack_seq is None
+        assert sent[0] is not frame and sent[1] is not sent[0]
 
     def test_replayed_frames_carry_current_ack(self):
         sim = Simulator()
         channel = quiet_channel(sim)
         ep = channel.host_endpoint
-        # hold a frame manually, advance last_accepted, then replay
+        link = ep.tx_link
+        arrivals = []
+        deliver = link._deliver
+        link._deliver = lambda got: (arrivals.append((got, got.ack_seq)), deliver(got))
+        # send and hold a frame, then replay it with a newer ACK while the
+        # first copy is still on the wire
         frame = DownstreamFrame(seq_id=0, ack_seq=None)
+        link.send(frame)
         ep._replay.hold(0, frame, sim.now_ps)
         ep._last_accepted = 42
-        sent = []
-        original_send = ep.tx_link.send
-        ep.tx_link.send = lambda raw: (sent.append(raw), original_send(raw))[1]
         ep._do_replay()
-        assert sent, "replay sent nothing"
-        out = DownstreamFrame.unpack(sent[0])
-        assert out.ack_seq == 42
+        sim.run(until_ps=sim.now_ps + 2 * (link.frame_wire_ps + link.latency_ps))
+        assert len(arrivals) == 2
+        (first, first_ack), (replayed, replayed_ack) = arrivals
+        assert first is frame and first_ack is None  # already sent: old ACK
+        assert replayed is not frame and replayed_ack == 42
 
 
 class TestEndpointStatsExposure:
@@ -116,3 +134,43 @@ class TestEndpointStatsExposure:
         sim.run()
         # 4 chunks, done riding in the final one
         assert channel.host_endpoint.frames_accepted - before == 4
+
+
+class TestDecode:
+    """Bytes that arrive changed are decoded by the kind byte; what fails
+    CRC or does not parse is a drop."""
+
+    def test_kind_byte_dispatch(self):
+        sim = Simulator()
+        channel = quiet_channel(sim)
+        ep = channel.buffer_endpoint
+        signature = ep.decode(TrainingFrame(0xA501, echoed=True).pack())
+        assert isinstance(signature, TrainingFrame) and signature.echoed
+        frame = ep.decode(DownstreamFrame(3, 7).pack())
+        assert isinstance(frame, DownstreamFrame)
+        assert (frame.seq_id, frame.ack_seq) == (3, 7)
+        # the other direction's frames are not ours to decode
+        assert ep.decode(UpstreamFrame(3).pack()).training is False
+
+    def test_drops_keep_their_kind(self):
+        sim = Simulator()
+        channel = quiet_channel(sim)
+        ep = channel.buffer_endpoint
+        flip_last = lambda image: image[:-1] + bytes([image[-1] ^ 1])
+        training = ep.decode(flip_last(TrainingFrame(1).pack()))
+        payload = ep.decode(flip_last(DownstreamFrame(0).pack()))
+        assert isinstance(training, CrcDrop) and training.training
+        assert isinstance(payload, CrcDrop) and not payload.training
+        assert ep.decode(b"").training is False
+
+    def test_training_drops_are_counted_but_not_traced(self):
+        sim = Simulator()
+        channel = quiet_channel(sim)
+        ep = channel.buffer_endpoint
+        with TraceSession("drops") as session:
+            ep._process_rx(ep.decode(bytes([TrainingFrame.KIND]) + bytes(7)))
+            assert ep.crc_drops == 1
+            assert session.registry.snapshot().get("dmi.crc_drops", 0) == 0
+            ep._process_rx(ep.decode(bytes([DownstreamFrame.KIND]) + bytes(7)))
+            assert ep.crc_drops == 2
+            assert session.registry.snapshot()["dmi.crc_drops"] == 1

@@ -18,7 +18,6 @@ from repro.dmi.frames import (
     DownstreamFrame,
     TrainingFrame,
     UpstreamFrame,
-    frame_kind,
     next_seq,
     seq_distance,
 )
@@ -177,7 +176,42 @@ class TestTrainingFrame:
         assert out.echoed
 
     def test_frame_kind_dispatch(self):
-        assert frame_kind(TrainingFrame(1).pack()) == TrainingFrame.KIND
-        assert frame_kind(DownstreamFrame(0).pack()) == DownstreamFrame.KIND
-        assert frame_kind(UpstreamFrame(0).pack()) == UpstreamFrame.KIND
-        assert frame_kind(b"") is None
+        # receivers dispatch decoding on the first byte of the image
+        assert TrainingFrame(1).pack()[0] == TrainingFrame.KIND
+        assert DownstreamFrame(0).pack()[0] == DownstreamFrame.KIND
+        assert UpstreamFrame(0).pack()[0] == UpstreamFrame.KIND
+        assert len({TrainingFrame.KIND, DownstreamFrame.KIND, UpstreamFrame.KIND}) == 3
+
+
+class TestConstructionValidation:
+    """Frames that are never packed must still be valid: every field check
+    runs when the object is built."""
+
+    @pytest.mark.parametrize("address", [1 << 48, -128])
+    def test_out_of_range_address_rejected_without_pack(self, address):
+        with pytest.raises(ProtocolError):
+            CommandHeader(Opcode.READ, 0, address)
+
+    def test_oversized_chunk_rejected_without_pack(self):
+        with pytest.raises(ProtocolError):
+            DataChunk(0, 0, bytes(256))
+        assert DataChunk(0, 0, bytes(255)).pack()[2] == 255
+
+
+class TestWithAck:
+    def test_downstream_copy_carries_new_ack_and_leaves_original(self):
+        frame = DownstreamFrame(
+            5, 1, CommandHeader(Opcode.READ, 3, 0x80), DataChunk(3, 0, b"\x01" * 16)
+        )
+        copy = frame.with_ack(9)
+        assert copy is not frame
+        assert frame.ack_seq == 1
+        out = DownstreamFrame.unpack(copy.pack())
+        assert (out.seq_id, out.ack_seq) == (5, 9)
+        assert out.command == frame.command and out.chunk == frame.chunk
+
+    def test_upstream_copy_does_not_share_done_list(self):
+        frame = UpstreamFrame(7, None, [DoneNotice(1), DoneNotice(2)])
+        copy = frame.with_ack(None)
+        assert copy.dones == frame.dones and copy.dones is not frame.dones
+        assert UpstreamFrame.unpack(copy.pack()).ack_seq is None

@@ -1,28 +1,42 @@
-"""SerialLink against the always-scrambling reference link.
+"""SerialLink against the always-packing, always-scrambling reference link.
 
-The link skips the keystream while its two ends are in lockstep.  These
-tests drive it and :class:`~tests.dmi.reference.ReferenceLink` with the
-same random sequences of sends, error-model arming, resyncs and drains:
-in lockstep every delivered frame (and the corruption count) must match
-the reference.  A resync that catches frames in flight garbles them, and
-every frame sent after it arrives garbled unless another resync comes
-first.  Frames sent while desynced are scrambled by both links from the
-same reset state, so they must match the reference byte for byte too;
-only the frames caught in flight differ (the reference scrambled them,
-the link did not).
+The link skips the keystream while its two ends are in lockstep and sends
+frames as objects, packing one only when the error model hits it or the
+link is desynced.  These tests drive it and
+:class:`~tests.dmi.reference.ReferenceLink` with the same random sequences
+of sends, error-model arming, resyncs and drains; the reference delivers
+bytes, decoded by the same receiver decoder.  In lockstep every delivery
+(and the corruption count) must match the decoded reference, and a frame
+whose bytes arrive intact is the very object sent.  A resync that catches
+frames in flight garbles them, and every frame sent after it arrives
+garbled unless another resync comes first.  Frames sent while desynced
+are scrambled by both links from the same reset state, so they must match
+the decoded reference too; only the frames caught in flight differ (the
+reference scrambled them, the link did not).
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.dmi import DOWN_WIRE_BYTES, UP_WIRE_BYTES, LinkErrorModel, SerialLink
+from repro.dmi import (
+    CommandHeader,
+    DataChunk,
+    DoneNotice,
+    DownstreamFrame,
+    LinkErrorModel,
+    Opcode,
+    SerialLink,
+    UpstreamFrame,
+)
+from repro.dmi.channel import CrcDrop
 from repro.sim import Rng, Simulator, dmi_link_clock
 
 from .reference import ReferenceLink
+from .test_channel import endpoint_decoder
 
-#: (lanes, wire bytes) of the two DMI directions; every frame touches
+#: (lanes, frame class) of the two DMI directions; every frame touches
 #: every lane, so a desynced receiver garbles all of them
-GEOMETRIES = [(14, DOWN_WIRE_BYTES), (21, UP_WIRE_BYTES)]
+GEOMETRIES = [(14, DownstreamFrame), (21, UpstreamFrame)]
 
 OPS = st.one_of(
     st.tuples(st.just("send"), st.integers(0, 255)),
@@ -37,15 +51,36 @@ OPS = st.one_of(
 )
 
 
-def make_pair(lanes, seed=5):
+def make_frame(cls, value):
+    """A full frame of ``cls`` whose payload bytes derive from ``value``."""
+    tag = value % 32
+    if cls is DownstreamFrame:
+        data = bytes((value + i) & 0xFF for i in range(16))
+        return DownstreamFrame(
+            value % 64, None, CommandHeader(Opcode.WRITE, tag, value * 128),
+            DataChunk(tag, 0, data),
+        )
+    data = bytes((value + i) & 0xFF for i in range(32))
+    return UpstreamFrame(value % 64, 3, [DoneNotice(tag)], DataChunk(tag, 0, data))
+
+
+def image(delivered):
+    """Comparable form of a delivery: a frame's bytes, or the drop kind."""
+    if isinstance(delivered, CrcDrop):
+        return ("drop", delivered.training)
+    return delivered.pack()
+
+
+def make_pair(lanes, cls, seed=5):
     sim = Simulator()
+    decode = endpoint_decoder(sim, cls)
     link = SerialLink(
         sim, "l", lanes, dmi_link_clock(8.0),
         error_model=LinkErrorModel(), rng=Rng(seed, "l"),
     )
-    ref = ReferenceLink(lanes, LinkErrorModel(), Rng(seed, "l"))
+    ref = ReferenceLink(lanes, LinkErrorModel(), Rng(seed, "l"), decode)
     seen = []
-    link.connect(seen.append)
+    link.connect(seen.append, decode)
     return sim, link, ref, seen
 
 
@@ -65,12 +100,12 @@ class TestLinkMatchesReference:
          ("drain",), ("resync",)] + [("send", value) for value in range(20)],
     )
     def test_random_operation_sequences(self, geometry, ops):
-        lanes, size = geometry
-        sim, link, ref, seen = make_pair(lanes)
+        lanes, cls = geometry
+        sim, link, ref, seen = make_pair(lanes, cls)
         sent, in_flight, desynced, resyncs = [], 0, False, 0
         for op in ops + [("drain",)]:
             if op[0] == "send":
-                frame = bytes((op[1] + i) & 0xFF for i in range(size))
+                frame = make_frame(cls, op[1])
                 link.send(frame)
                 ref.send(frame)
                 sent.append((frame, desynced, resyncs))
@@ -90,18 +125,25 @@ class TestLinkMatchesReference:
                 expect = ref.drain()
                 assert len(seen) == len(sent)
                 if desynced:
-                    for got, want, (frame, sent_desynced, epoch) in zip(
+                    for got, (_, want), (frame, sent_desynced, epoch) in zip(
                         seen, expect, sent
                     ):
                         if sent_desynced:
-                            assert got == want
+                            assert image(got) == image(want)
                         if not sent_desynced or epoch == resyncs:
-                            assert got != frame
+                            assert got is not frame
+                            assert image(got) != frame.pack()
+                    # the link hands over the frame itself exactly when its
+                    # bytes arrive intact
                     assert link.frames_corrupted - corrupted == sum(
-                        got != frame for got, (frame, _, _) in zip(seen, sent)
+                        got is not frame for got, (frame, _, _) in zip(seen, sent)
                     )
                 else:
-                    assert seen == expect
+                    assert [image(got) for got in seen] == [
+                        image(want) for _, want in expect
+                    ]
+                    for got, (received, _), (frame, _, _) in zip(seen, expect, sent):
+                        assert (got is frame) == (received == frame.pack())
                     assert (
                         link.frames_corrupted - corrupted
                         == ref.frames_corrupted - ref_corrupted

@@ -3,17 +3,41 @@
 import pytest
 
 from repro.dmi import (
+    DataChunk,
+    DownstreamFrame,
     EndpointConfig,
     LinkErrorModel,
     LinkTrainer,
     SerialLink,
     TrainingConfig,
 )
+from repro.dmi.channel import CrcDrop
 from repro.errors import ConfigurationError, FrtlBudgetError, LinkTrainingError
 from repro.sim import Rng, Simulator, dmi_link_clock
 from repro.units import ns_to_ps
 
-from .test_channel import make_channel
+from .test_channel import endpoint_decoder, make_channel
+
+
+def frame_of(value, seq=0):
+    """A downstream frame whose write-data chunk is ``value`` repeated."""
+    return DownstreamFrame(seq, chunk=DataChunk(0, 0, bytes([value]) * 16))
+
+
+def is_payload_drop(got):
+    return isinstance(got, CrcDrop) and not got.training
+
+
+def bare_link(**kwargs):
+    """A downstream link whose receiver records ``(time, delivery)`` pairs."""
+    sim = Simulator()
+    link = SerialLink(sim, "l", 14, dmi_link_clock(8.0), **kwargs)
+    seen = []
+    link.connect(
+        lambda got: seen.append((sim.now_ps, got)),
+        endpoint_decoder(sim, DownstreamFrame),
+    )
+    return sim, link, seen
 
 
 class TestSerialLink:
@@ -24,16 +48,14 @@ class TestSerialLink:
         assert link.frame_wire_ps == 2_000
 
     def test_delivery_latency(self):
-        sim = Simulator()
-        link = SerialLink(sim, "l", 14, dmi_link_clock(8.0))
-        seen = []
-        link.connect(lambda raw: seen.append((sim.now_ps, raw)))
-        link.send(b"\x01" * 28)
+        sim, link, seen = bare_link()
+        frame = frame_of(0x01)
+        link.send(frame)
         sim.run()
         assert len(seen) == 1
-        t, raw = seen[0]
+        t, got = seen[0]
         assert t == link.frame_wire_ps + link.latency_ps
-        assert raw == b"\x01" * 28  # scrambled then descrambled
+        assert got is frame  # a clean lockstep link delivers the frame sent
 
     def test_cdr_capture_adds_latency(self):
         sim = Simulator()
@@ -42,41 +64,37 @@ class TestSerialLink:
         assert cdr.latency_ps - fwd.latency_ps == SerialLink.CDR_EXTRA_PS
 
     def test_back_to_back_frames_serialize(self):
-        sim = Simulator()
-        link = SerialLink(sim, "l", 14, dmi_link_clock(8.0))
-        seen = []
-        link.connect(lambda raw: seen.append(sim.now_ps))
-        link.send(b"a" * 28)
-        link.send(b"b" * 28)
+        sim, link, seen = bare_link()
+        link.send(frame_of(ord("a")))
+        link.send(frame_of(ord("b"), seq=1))
         sim.run()
-        assert seen[1] - seen[0] == link.frame_wire_ps
+        assert seen[1][0] - seen[0][0] == link.frame_wire_ps
 
     def test_error_model_flips_bits(self):
-        sim = Simulator()
-        link = SerialLink(
-            sim, "l", 14, dmi_link_clock(8.0),
-            error_model=LinkErrorModel(frame_error_rate=1.0),
-            rng=Rng(3, "l"),
+        sim, link, seen = bare_link(
+            error_model=LinkErrorModel(frame_error_rate=1.0), rng=Rng(3, "l"),
         )
-        seen = []
-        link.connect(seen.append)
-        link.send(bytes(28))
+        frame = frame_of(0)
+        link.send(frame)
         sim.run()
-        assert seen[0] != bytes(28)
+        got = seen[0][1]
+        assert got is not frame
+        assert isinstance(got, CrcDrop) or got.pack() != frame.pack()
         assert link.frames_corrupted == 1
 
     def test_unconnected_send_raises(self):
         sim = Simulator()
         link = SerialLink(sim, "l", 14, dmi_link_clock(8.0))
         with pytest.raises(ConfigurationError):
-            link.send(b"x")
+            link.send(frame_of(ord("x")))
 
     def test_double_connect_raises(self):
         sim = Simulator()
         link = SerialLink(sim, "l", 14, dmi_link_clock(8.0))
-        link.connect(lambda raw: None)
+        decode = endpoint_decoder(sim, DownstreamFrame)
+        link.connect(lambda got: None, decode)
         with pytest.raises(ConfigurationError):
-            link.connect(lambda raw: None)
+            link.connect(lambda got: None, decode)
 
     def test_zero_lanes_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -88,46 +106,47 @@ class TestKeystreamCarry:
     these pin the behaviours that must survive that."""
 
     def test_forced_corruption_detected(self):
-        # the corrupted wire frame must arrive as original-plus-bit-flip
-        sim = Simulator()
-        link = SerialLink(
-            sim, "l", 14, dmi_link_clock(8.0),
-            error_model=LinkErrorModel(force_drops=1),
-        )
-        seen = []
-        link.connect(seen.append)
-        link.send(bytes(28))
-        link.send(b"\x07" * 28)
+        # a forced drop fails CRC and is counted; the next frame is intact
+        sim, link, seen = bare_link(error_model=LinkErrorModel(force_drops=1))
+        first, second = frame_of(0x00), frame_of(0x07, seq=1)
+        link.send(first)
+        link.send(second)
         sim.run()
-        assert seen[0] == b"\x01" + bytes(27)  # the injected single-bit flip
-        assert seen[1] == b"\x07" * 28         # next frame is clean again
+        assert is_payload_drop(seen[0][1])
+        assert seen[1][1] is second
         assert link.frames_corrupted == 1
 
+    def test_forced_drop_flips_bit_zero(self):
+        # the exact injected flip, on a byte image and on a frame's image
+        rng = Rng(0, "l")
+        model = LinkErrorModel(force_drops=2)
+        assert model.corrupt(bytes(28), rng) == b"\x01" + bytes(28 - 1)
+        frame = frame_of(0x07)
+        image = frame.pack()
+        assert model.corrupt(frame, rng) == bytes([image[0] ^ 1]) + image[1:]
+        assert model.force_drops == 0
+        assert model.corrupt(frame, rng) is frame
+
     def test_resync_with_frames_in_flight_desyncs_receiver(self):
-        sim = Simulator()
-        link = SerialLink(sim, "l", 14, dmi_link_clock(8.0))
-        seen = []
-        link.connect(seen.append)
-        link.send(b"\x55" * 28)
+        sim, link, seen = bare_link()
+        link.send(frame_of(0x55))
         link.resync()  # before the frame arrives: receiver loses lockstep
-        link.send(b"\xaa" * 28)  # post-resync traffic stays garbled too
+        link.send(frame_of(0xAA, seq=1))  # post-resync traffic stays garbled too
         sim.run()
-        assert seen[0] != b"\x55" * 28
-        assert seen[1] != b"\xaa" * 28
+        assert is_payload_drop(seen[0][1])
+        assert is_payload_drop(seen[1][1])
         assert link.frames_corrupted == 2
 
     def test_clean_resync_restores_lockstep(self):
-        sim = Simulator()
-        link = SerialLink(sim, "l", 14, dmi_link_clock(8.0))
-        seen = []
-        link.connect(seen.append)
-        link.send(b"\x55" * 28)
+        sim, link, seen = bare_link()
+        link.send(frame_of(0x55))
         link.resync()  # mid-flight: desync
         sim.run()      # drain the garbled frame
         link.resync()  # nothing in flight: both sides restart together
-        link.send(b"\x33" * 28)
+        frame = frame_of(0x33, seq=1)
+        link.send(frame)
         sim.run()
-        assert seen[-1] == b"\x33" * 28
+        assert seen[-1][1] is frame
         assert link.frames_corrupted == 1
 
 
