@@ -175,10 +175,11 @@ class AccessProcessor:
         trace = probe.session  # re-fetch: program runs span many sim events
         if trace is not None:
             executed = self.perf.instructions - instructions_at_start
-            trace.complete(
-                "accel", f"program:{self.name}", start_ps, self.sim.now_ps,
-                {"threads": len(contexts), "instructions": executed},
-            )
+            if trace.records_spans:
+                trace.complete(
+                    "accel", f"program:{self.name}", start_ps, self.sim.now_ps,
+                    {"threads": len(contexts), "instructions": executed},
+                )
             trace.count("accel.programs")
             trace.count("accel.instructions", executed)
         return contexts
@@ -369,10 +370,11 @@ class AccessProcessor:
             self.perf.dma_bytes_read += len(data)
             trace = probe.session  # re-fetch: stream spans many sim events
             if trace is not None:
-                trace.complete(
-                    "accel", f"dmard:{self.name}", t0, self.sim.now_ps,
-                    {"bytes": len(data)},
-                )
+                if trace.records_spans:
+                    trace.complete(
+                        "accel", f"dmard:{self.name}", t0, self.sim.now_ps,
+                        {"bytes": len(data)},
+                    )
                 trace.count("accel.dma_bytes_read", len(data))
             return data
 
@@ -385,10 +387,11 @@ class AccessProcessor:
             self.perf.dma_bytes_written += len(data)
             trace = probe.session  # re-fetch: stream spans many sim events
             if trace is not None:
-                trace.complete(
-                    "accel", f"dmawr:{self.name}", t0, self.sim.now_ps,
-                    {"bytes": len(data)},
-                )
+                if trace.records_spans:
+                    trace.complete(
+                        "accel", f"dmawr:{self.name}", t0, self.sim.now_ps,
+                        {"bytes": len(data)},
+                    )
                 trace.count("accel.dma_bytes_written", len(data))
             return len(data)
 

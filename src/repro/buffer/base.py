@@ -45,10 +45,11 @@ class MemoryBuffer:
             self.stats.latency("service").record(self.sim.now_ps - started)
             trace = probe.session
             if trace is not None:
-                trace.complete(
-                    "buffer", f"{self.kind}.{command.opcode.value}",
-                    started, self.sim.now_ps, {"addr": command.address},
-                )
+                if trace.records_spans:
+                    trace.complete(
+                        "buffer", f"{self.kind}.{command.opcode.value}",
+                        started, self.sim.now_ps, {"addr": command.address},
+                    )
                 trace.count(f"buffer.{self.kind}.commands")
                 trace.record("buffer.service_ps", self.sim.now_ps - started)
             respond(response)

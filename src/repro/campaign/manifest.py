@@ -24,6 +24,8 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from ..telemetry.artifact import read_artifact
+
 #: bump when record shapes change incompatibly
 SCHEMA = "repro.campaign/v1"
 
@@ -99,20 +101,7 @@ def read_manifest(path: str) -> List[dict]:
     Tolerating a torn final line matters: resume reads manifests written
     right up to a crash.
     """
-    records: List[dict] = []
-    manifest = Path(path)
-    if not manifest.exists():
-        return records
-    with open(manifest, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-    return records
+    return read_artifact(path, malformed="skip", missing_ok=True)[0]
 
 
 def canonical_manifest(records: List[dict]) -> List[dict]:

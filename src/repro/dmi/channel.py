@@ -106,7 +106,7 @@ class FrameEndpoint:
         tx_link: SerialLink,
         frame_in_cls: type,
         config: EndpointConfig,
-        on_payload: Callable[[Frame], None],
+        on_payload: Optional[Callable[[Frame], None]],
         on_fail: Optional[Callable[[Exception], None]] = None,
     ):
         self.sim = sim
@@ -163,29 +163,28 @@ class FrameEndpoint:
                     f"endpoint {self.name!r}: channel is down ({self.failure})"
                 )
             raise ProtocolError(f"endpoint {self.name!r}: channel is down")
-        self._tx_queue.append(dict(frame_fields))
+        self._tx_queue.append(frame_fields)
         self.sim.call_after(self.config.tx_overhead_ps, self._pump)
-
-    def _build_frame(self, seq: int, fields: dict) -> Frame:
-        return self._frame_out_cls(seq, self._last_accepted, **fields)
 
     def _pump(self) -> None:
         if self.failed or self._replay_in_progress:
             return
-        while self._tx_queue and not self._replay.is_full:
-            fields = self._tx_queue.popleft()
+        queue, replay, link = self._tx_queue, self._replay, self.tx_link
+        while queue and not replay.is_full:
+            fields = queue.popleft()
             seq = self._next_tx_seq
             self._next_tx_seq = next_seq(seq)
-            frame = self._build_frame(seq, fields)
-            self.tx_link.send(frame)
+            frame = self._frame_out_cls(seq, self._last_accepted, **fields)
+            link.send(frame)
             # Retransmissions send copies with the ACK field refreshed (see
             # _resend).  Stamp the hold with the time the frame finishes
             # serializing — under a transmit backlog that is later than
             # now, and the ACK timer must not start before the frame even
             # leaves.
-            self._replay.hold(seq, frame, self.tx_link.next_free_ps)
+            replay.hold(seq, frame, link.next_free_ps)
             self._last_tx_frame = frame
-        self._schedule_ack_check()
+        if not self._ack_check_scheduled:  # usually armed: skip the call
+            self._schedule_ack_check()
 
     # -- ACK timeout / replay ------------------------------------------------
 
@@ -197,10 +196,11 @@ class FrameEndpoint:
         return self.frtl_ps + self.config.ack_timeout_margin_ps + burst
 
     def _schedule_ack_check(self) -> None:
-        if self._ack_check_scheduled or self._replay.outstanding == 0:
+        if self._ack_check_scheduled:
             return
         oldest = self._replay.oldest_unacked()
-        assert oldest is not None
+        if oldest is None:
+            return
         _, _, sent_at = oldest
         self._ack_check_scheduled = True
         deadline = sent_at + self._ack_timeout_ps
@@ -228,11 +228,12 @@ class FrameEndpoint:
         self.replays_triggered += 1
         trace = probe.session
         if trace is not None:
-            trace.instant(
-                "dmi", f"replay:{self.name}", self.sim.now_ps,
-                {"consecutive": self._consecutive_replays,
-                 "outstanding": self._replay.outstanding},
-            )
+            if trace.records_spans:
+                trace.instant(
+                    "dmi", f"replay:{self.name}", self.sim.now_ps,
+                    {"consecutive": self._consecutive_replays,
+                     "outstanding": self._replay.outstanding},
+                )
             trace.count("dmi.replays")
         if self._consecutive_replays > self.config.replay_limit:
             self._fail(ReplayError(
@@ -291,10 +292,11 @@ class FrameEndpoint:
         self.failure = exc
         trace = probe.session
         if trace is not None:
-            trace.instant(
-                "dmi", f"channel_failed:{self.name}", self.sim.now_ps,
-                {"error": str(exc)},
-            )
+            if trace.records_spans:
+                trace.instant(
+                    "dmi", f"channel_failed:{self.name}", self.sim.now_ps,
+                    {"error": str(exc)},
+                )
             trace.count("dmi.channel_failed")
         if self.on_fail is not None:
             self.on_fail(exc)
@@ -362,39 +364,42 @@ class FrameEndpoint:
     def _process_rx(self, frame: Union[Frame, CrcDrop]) -> None:
         if self.failed:
             return
-        if isinstance(frame, CrcDrop):
+        kind = frame.__class__
+        if kind is CrcDrop:
             self.crc_drops += 1
             trace = probe.session
             if trace is not None and not frame.training:
-                trace.instant("dmi", f"crc_drop:{self.name}", self.sim.now_ps)
+                if trace.records_spans:
+                    trace.instant("dmi", f"crc_drop:{self.name}", self.sim.now_ps)
                 trace.count("dmi.crc_drops")
             return
-        if isinstance(frame, TrainingFrame):
+        if kind is TrainingFrame:
             self._handle_training(frame)
             return
         # 1) the ACK piggybacked on this frame retires our transmitted frames
-        if frame.ack_seq is not None:
-            retired = self._replay.ack(frame.ack_seq)
-            if retired:
-                self._consecutive_replays = 0
-                self._pump()
+        ack_seq = frame.ack_seq
+        if ack_seq is not None and self._replay.ack(ack_seq):
+            self._consecutive_replays = 0
+            self._pump()
         # 2) sequence check for the payload direction.  Forward distance from
         # the last accepted frame classifies the arrival: 1 = the expected
         # next frame; 2..depth = a gap (something before it was dropped, so
         # drop this too and let replay resend in order); anything else can
         # only be a duplicate of an already-accepted frame (replay holds at
         # most `depth` frames, so live frames are never further ahead).
+        seq_id = frame.seq_id
         if self._last_accepted is None:
-            fwd = (frame.seq_id + 1) % SEQ_MOD  # as if last_accepted were -1
+            fwd = (seq_id + 1) % SEQ_MOD  # as if last_accepted were -1
         else:
-            fwd = seq_distance(self._last_accepted, frame.seq_id)
+            fwd = seq_distance(self._last_accepted, seq_id)
         if fwd == 1:
-            self._last_accepted = frame.seq_id
+            self._last_accepted = seq_id
             self.frames_accepted += 1
             trace = probe.session
             if trace is not None:
-                trace.count("dmi.frames_accepted")
-            self._note_ack_owed()
+                trace.frames_accepted.count += 1
+            if not self._idle_ack_scheduled:
+                self._note_ack_owed()
             self.on_payload(frame)
         elif 2 <= fwd <= self.config.replay_depth:
             self.seq_drops += 1
@@ -411,7 +416,7 @@ class FrameEndpoint:
             # idle duplicate is just an ACK carrier — it is never held for
             # replay, so answering it with another idle ACK would bounce
             # idle frames between the endpoints forever.
-            if not getattr(frame, "is_idle", True):
+            if not frame.is_idle:
                 self._note_ack_owed()
 
     def _note_ack_owed(self) -> None:
@@ -425,8 +430,10 @@ class FrameEndpoint:
         if self._idle_ack_scheduled:
             return
         self._idle_ack_scheduled = True
+        fire_at = self.sim.now_ps + self.config.idle_ack_delay_ps
         earliest = self._last_idle_ack_ps + 4 * self.tx_link.frame_wire_ps
-        fire_at = max(self.sim.now_ps + self.config.idle_ack_delay_ps, earliest)
+        if earliest > fire_at:
+            fire_at = earliest
         self.sim.call_at(fire_at, self._send_idle_ack)
 
     def _send_idle_ack(self) -> None:
@@ -455,6 +462,9 @@ class FrameEndpoint:
 
 _CHUNKS_PER_WRITE = CACHE_LINE_BYTES // DOWN_DATA_CHUNK   # 8
 _CHUNKS_PER_READ = CACHE_LINE_BYTES // UP_DATA_CHUNK      # 4
+#: chunk offsets of one line, in line order
+_WRITE_OFFSETS = range(0, CACHE_LINE_BYTES, DOWN_DATA_CHUNK)
+_READ_OFFSETS = range(0, CACHE_LINE_BYTES, UP_DATA_CHUNK)
 
 
 @dataclass
@@ -534,17 +544,16 @@ class HostCommandLayer:
                     f"tag {tag}: done before all read data "
                     f"({len(pending.chunks)}/{_CHUNKS_PER_READ} chunks)"
                 )
-            data = b"".join(
-                pending.chunks[off] for off in range(0, CACHE_LINE_BYTES, UP_DATA_CHUNK)
-            )
+            data = b"".join([pending.chunks[off] for off in _READ_OFFSETS])
         self.commands_completed += 1
         trace = probe.session
         if trace is not None:
-            # the frame-loop round trip of one command: issue to done
-            trace.complete(
-                "dmi", f"cmd.{pending.command.opcode.value}",
-                pending.issued_ps, self.sim.now_ps, {"tag": tag},
-            )
+            if trace.records_spans:
+                # the frame-loop round trip of one command: issue to done
+                trace.complete(
+                    "dmi", f"cmd.{pending.command.opcode.value}",
+                    pending.issued_ps, self.sim.now_ps, {"tag": tag},
+                )
             trace.count("dmi.commands_completed")
             trace.record("dmi.cmd_rtt_ps", self.sim.now_ps - pending.issued_ps)
             journeys = trace.journeys
@@ -625,9 +634,7 @@ class BufferCommandLayer:
         op = pending.header.opcode
         data = None
         if op.has_downstream_data:
-            data = b"".join(
-                pending.chunks[off] for off in range(0, CACHE_LINE_BYTES, DOWN_DATA_CHUNK)
-            )
+            data = b"".join([pending.chunks[off] for off in _WRITE_OFFSETS])
         byte_enable = None
         if op is Opcode.PARTIAL_WRITE:
             assert pending.mask is not None
@@ -660,12 +667,11 @@ class BufferCommandLayer:
                     # buffer window: command dispatch through response ready
                     journeys.stage_to(jid, "buffer", self.sim.now_ps)
         if response.data is not None:
-            offsets = list(range(0, CACHE_LINE_BYTES, UP_DATA_CHUNK))
-            for off in offsets[:-1]:
+            for off in _READ_OFFSETS[:-1]:
                 self.endpoint.enqueue(
                     chunk=DataChunk(response.tag, off, response.data[off : off + UP_DATA_CHUNK])
                 )
-            last = offsets[-1]
+            last = _READ_OFFSETS[-1]
             self.endpoint.enqueue(
                 chunk=DataChunk(response.tag, last, response.data[last : last + UP_DATA_CHUNK]),
                 dones=[DoneNotice(response.tag)],
@@ -704,13 +710,15 @@ class DmiChannel:
         self.up_link = up_link
         self.failure: Optional[Exception] = None
 
+        # each endpoint decodes only its own frame class (frame_in_cls), so
+        # payloads go straight to the command layer on top of it
         self.host_endpoint = FrameEndpoint(
             sim, f"{name}.host", down_link, UpstreamFrame, host_config,
-            on_payload=self._host_payload, on_fail=self._on_fail,
+            on_payload=None, on_fail=self._on_fail,
         )
         self.buffer_endpoint = FrameEndpoint(
             sim, f"{name}.buffer", up_link, DownstreamFrame, buffer_config,
-            on_payload=self._buffer_payload, on_fail=self._on_fail,
+            on_payload=None, on_fail=self._on_fail,
         )
         down_link.connect(self.buffer_endpoint.deliver, self.buffer_endpoint.decode)
         up_link.connect(self.host_endpoint.deliver, self.host_endpoint.decode)
@@ -719,14 +727,8 @@ class DmiChannel:
         self.buffer = BufferCommandLayer(
             sim, self.buffer_endpoint, buffer_handler, channel_name=name
         )
-
-    def _host_payload(self, frame: Frame) -> None:
-        assert isinstance(frame, UpstreamFrame)
-        self.host.on_upstream(frame)
-
-    def _buffer_payload(self, frame: Frame) -> None:
-        assert isinstance(frame, DownstreamFrame)
-        self.buffer.on_downstream(frame)
+        self.host_endpoint.on_payload = self.host.on_upstream
+        self.buffer_endpoint.on_payload = self.buffer.on_downstream
 
     def _on_fail(self, exc: Exception) -> None:
         self.failure = exc

@@ -39,41 +39,37 @@ class Opcode(enum.Enum):
     MAX_STORE = "max_store"        # ConTutto in-line accel: store max(mem, data)
     CSWAP = "cswap"                # ConTutto in-line accel: conditional swap
 
-    @property
-    def is_extension(self) -> bool:
-        """True for commands only the FPGA buffer implements (not Centaur)."""
-        return self in _EXTENSION_OPS
+    # Classification flags: plain member attributes, set once below (the
+    # command path reads them several times per command).
 
-    @property
-    def has_downstream_data(self) -> bool:
-        """True if the processor sends a data payload with the command."""
-        return self in (
-            Opcode.WRITE,
-            Opcode.PARTIAL_WRITE,
-            Opcode.MIN_STORE,
-            Opcode.MAX_STORE,
-            Opcode.CSWAP,
-        )
-
-    @property
-    def returns_data(self) -> bool:
-        """True if the buffer returns cache-line data upstream."""
-        return self in (Opcode.READ, Opcode.CSWAP)
-
-    @property
-    def is_rmw(self) -> bool:
-        """True if execution requires read + merge + write at the buffer."""
-        return self in (
-            Opcode.PARTIAL_WRITE,
-            Opcode.MIN_STORE,
-            Opcode.MAX_STORE,
-            Opcode.CSWAP,
-        )
+    #: True for commands only the FPGA buffer implements (not Centaur)
+    is_extension: bool
+    #: True if the processor sends a data payload with the command
+    has_downstream_data: bool
+    #: True if the buffer returns cache-line data upstream
+    returns_data: bool
+    #: True if execution requires read + merge + write at the buffer
+    is_rmw: bool
 
 
 _EXTENSION_OPS = frozenset(
     {Opcode.FLUSH, Opcode.MIN_STORE, Opcode.MAX_STORE, Opcode.CSWAP}
 )
+_DOWNSTREAM_DATA_OPS = frozenset(
+    {Opcode.WRITE, Opcode.PARTIAL_WRITE, Opcode.MIN_STORE, Opcode.MAX_STORE,
+     Opcode.CSWAP}
+)
+_RETURNS_DATA_OPS = frozenset({Opcode.READ, Opcode.CSWAP})
+_RMW_OPS = frozenset(
+    {Opcode.PARTIAL_WRITE, Opcode.MIN_STORE, Opcode.MAX_STORE, Opcode.CSWAP}
+)
+
+for _op in Opcode:
+    _op.is_extension = _op in _EXTENSION_OPS
+    _op.has_downstream_data = _op in _DOWNSTREAM_DATA_OPS
+    _op.returns_data = _op in _RETURNS_DATA_OPS
+    _op.is_rmw = _op in _RMW_OPS
+del _op
 
 
 @dataclass

@@ -69,11 +69,6 @@ class LinkErrorModel:
         corrupting a scrambled frame and descrambling it equals corrupting
         the plain frame, with the same RNG draws.
         """
-        if self.force_drops == 0 and self.frame_error_rate == 0.0:
-            # Clean-run fast path: no RNG consultation per frame.  Rng.chance
-            # draws nothing for p=0 either, so stream state is unaffected —
-            # this only skips the call overhead on every clean frame.
-            return data
         if self.force_drops > 0:
             self.force_drops -= 1
             out = bytearray(_image(data))
@@ -130,10 +125,16 @@ class SerialLink:
         #: set by a resync that caught frames in flight, cleared by a resync
         #: with none; only while set do the scramblers run (see send())
         self.desynced = False
-        # ClockDomain periods are fixed at construction, so the per-frame
-        # wire time is a constant — cached because the send path and the
-        # ACK-timeout math read it for every frame.
-        self._frame_wire_ps = FRAME_UI * link_clock.period_ps
+        # ClockDomain periods are fixed at construction, so both timing
+        # constants are plain attributes: the send path and the endpoints'
+        # ACK math read them for every frame.
+        #: serialization time of one frame: 16 UI at the link rate
+        self.frame_wire_ps = FRAME_UI * link_clock.period_ps
+        #: pipe latency from start-of-serialization to start-of-delivery
+        self.latency_ps = (
+            self.SERDES_BASE_PS + self.FLIGHT_PS
+            + (self.CDR_EXTRA_PS if cdr_capture else 0)
+        )
         self._next_free_ps = 0
         #: span label, formatted once — send() traces every frame
         self._trace_label = f"frame:{name}"
@@ -168,17 +169,6 @@ class SerialLink:
         """When the wire finishes serializing everything queued so far."""
         return max(self._next_free_ps, self.sim.now_ps)
 
-    @property
-    def frame_wire_ps(self) -> int:
-        """Serialization time of one frame: 16 UI at the link rate."""
-        return self._frame_wire_ps
-
-    @property
-    def latency_ps(self) -> int:
-        """Pipe latency from start-of-serialization to start-of-delivery."""
-        extra = self.CDR_EXTRA_PS if self.cdr_capture else 0
-        return self.SERDES_BASE_PS + self.FLIGHT_PS + extra
-
     def resync(self) -> None:
         """Reset scrambler state on both ends (start of link training).
 
@@ -203,8 +193,11 @@ class SerialLink:
         """
         if self._deliver is None:
             raise ConfigurationError(f"link {self.name!r} has no receiver connected")
-        wire_ps = self._frame_wire_ps
-        start = max(self.sim.now_ps, self._next_free_ps)
+        wire_ps = self.frame_wire_ps
+        now_ps = self.sim.now_ps
+        start = self._next_free_ps
+        if start < now_ps:
+            start = now_ps
         self._next_free_ps = start + wire_ps
         self.busy_ps += wire_ps
 
@@ -222,15 +215,22 @@ class SerialLink:
             )
         else:
             packed = None
-            wire = self.error_model.corrupt(frame, self.rng)
+            model = self.error_model
+            # A clean model returns every frame untouched and draws nothing
+            # (Rng.chance(0) consumes no state), so skip the call per frame.
+            if model.force_drops == 0 and model.frame_error_rate == 0.0:
+                wire = frame
+            else:
+                wire = model.corrupt(frame, self.rng)
         self._in_flight += 1
         arrival = start + wire_ps + self.latency_ps
         self.frames_sent += 1
         trace = probe.session
         if trace is not None:
-            # serialization start through delivery: the whole wire transit
-            trace.complete("dmi", self._trace_label, start, arrival)
-            trace.count("dmi.frames_sent")
+            if trace.records_spans:
+                # serialization start through delivery: the whole wire transit
+                trace.complete("dmi", self._trace_label, start, arrival)
+            trace.frames_sent.count += 1
         self.sim.call_at(arrival, self._arrive, frame, packed, wire)
         return arrival
 
@@ -262,7 +262,8 @@ class SerialLink:
         self.frames_corrupted += 1
         trace = probe.session
         if trace is not None:
-            trace.instant("dmi", f"corrupt:{self.name}", self.sim.now_ps)
+            if trace.records_spans:
+                trace.instant("dmi", f"corrupt:{self.name}", self.sim.now_ps)
             trace.count("dmi.frames_corrupted")
         self._deliver(self._decode(received))
 

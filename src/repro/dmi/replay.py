@@ -55,7 +55,7 @@ class ReplayBuffer:
 
     def hold(self, seq: int, frame: Any, sent_at_ps: int) -> None:
         """Record a just-transmitted frame until its ACK arrives."""
-        if self.is_full:
+        if len(self._pending) >= self.depth:
             raise ReplayError("replay buffer overflow: transmitter failed to stall")
         if seq in self._pending:
             raise ProtocolError(f"sequence {seq} already awaiting ACK")
@@ -75,8 +75,7 @@ class ReplayBuffer:
             return 0
         retired = 0
         while self._pending:
-            head_seq = next(iter(self._pending))
-            self._pending.popitem(last=False)
+            head_seq, _ = self._pending.popitem(last=False)
             retired += 1
             if head_seq == seq:
                 break
@@ -85,11 +84,9 @@ class ReplayBuffer:
 
     def oldest_unacked(self) -> Optional[Tuple[int, bytes, int]]:
         """The oldest frame still awaiting ACK: (seq, frame, sent_at_ps)."""
-        if not self._pending:
-            return None
-        seq = next(iter(self._pending))
-        frame, sent_at = self._pending[seq]
-        return seq, frame, sent_at
+        for seq, (frame, sent_at) in self._pending.items():
+            return seq, frame, sent_at
+        return None
 
     def frames_for_replay(self) -> List[Tuple[int, Any]]:
         """All held frames in transmit order, for retransmission."""

@@ -21,6 +21,7 @@ from ..errors import ConfigurationError
 from ..sim import Signal, Simulator
 from ..telemetry import probe
 from .device import MemoryDevice
+from .ecc import UncorrectableEccError
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,8 @@ class MemoryController:
         self.reads_submitted += 1
         trace = probe.session
         if trace is not None:
-            self._trace_op(trace, done, "rd")
+            if trace.records_spans:
+                self._trace_op(trace, done, "rd")
             trace.count("memory.reads")
         return done
 
@@ -101,7 +103,8 @@ class MemoryController:
         self.writes_submitted += 1
         trace = probe.session
         if trace is not None:
-            self._trace_op(trace, done, "wr")
+            if trace.records_spans:
+                self._trace_op(trace, done, "wr")
             trace.count("memory.writes")
         return done
 
@@ -176,8 +179,6 @@ class MemoryController:
         self, addr: int, nbytes: int, done: Signal,
         journey: Optional[int] = None,
     ) -> None:
-        from .ecc import UncorrectableEccError
-
         journeys = self._journey_context(journey)
         if journeys is not None:
             journeys.push(journey)

@@ -284,10 +284,9 @@ class DdrDram(MemoryDevice):
         total = self.row_hits + self.row_misses + self.row_conflicts
         return self.row_hits / total if total else 0.0
 
-    def banks_busy(self, now_ps: int) -> int:
-        """Banks still serving (or recovering from) an access at ``now_ps``."""
-        return sum(1 for bank in self._banks if bank.ready_ps > now_ps)
-
-    def bank_busy(self, bank: int, now_ps: int) -> bool:
-        """Whether one bank is serving (or recovering from) an access."""
-        return self._banks[bank].ready_ps > now_ps
+    def bank_occupancy(self, now_ps: int) -> List[float]:
+        """How many banks are serving (or recovering from) an access at
+        ``now_ps``, then each bank's busy flag as 0.0/1.0: one read serves
+        the occupancy sampler's whole rank."""
+        flags = [1.0 if bank.ready_ps > now_ps else 0.0 for bank in self._banks]
+        return [flags.count(1.0)] + flags

@@ -74,10 +74,11 @@ class HostMemoryController:
                 trace = probe.session
                 if trace is not None:
                     # tag acquire through done: includes any tag-window stall
-                    trace.complete(
-                        "processor", f"host.{opcode.value}",
-                        issued_at, self.sim.now_ps, {"addr": addr},
-                    )
+                    if trace.records_spans:
+                        trace.complete(
+                            "processor", f"host.{opcode.value}",
+                            issued_at, self.sim.now_ps, {"addr": addr},
+                        )
                     trace.count("processor.commands")
                     trace.record("processor.cmd_ps", self.sim.now_ps - issued_at)
                 if jid is not None:

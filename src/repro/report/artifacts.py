@@ -1,12 +1,14 @@
-"""One loader for every JSONL artifact the repo emits.
+"""Artifact loading for the report tools, over one JSONL reader.
 
 ``analyze_latency.py`` resolved inputs and merged journeys its own way,
 ``run_chaos.py`` re-derived journey records from live sessions, and
 every CLI that takes ``--faults`` re-implemented plan loading.  Worse,
 the copies disagreed on malformed input: some paths raised a bare
 ``json.JSONDecodeError`` with no file context, and ad-hoc readers
-skipped bad lines silently.  This module is the single shared
-implementation with one explicit policy:
+skipped bad lines silently.  :func:`read_artifact` (defined in
+:mod:`repro.telemetry.artifact`, the lowest layer that reads artifacts,
+and re-exported here) is the single shared reader with one explicit
+policy:
 
 * **strict** (default) — a malformed line raises
   :class:`~repro.errors.ArtifactError` naming the file and line;
@@ -26,51 +28,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ArtifactError, ConfigurationError
 from ..telemetry import merge_attribution
+from ..telemetry.artifact import read_artifact
 from ..telemetry.attribution import journey_record, journey_records
-
-#: malformed-line policies :func:`read_artifact` accepts
-MALFORMED_POLICIES = ("error", "skip")
-
-
-def read_artifact(
-    path, malformed: str = "error"
-) -> Tuple[List[dict], List[int]]:
-    """Load a JSONL artifact; returns ``(records, skipped line numbers)``.
-
-    ``malformed="error"`` (default) raises :class:`ArtifactError` with
-    file and line context on the first bad line; ``malformed="skip"``
-    collects the 1-based line numbers of unparseable lines instead.
-    Records that parse but are not JSON objects count as malformed —
-    every artifact schema in this repo is a stream of objects.
-    """
-    if malformed not in MALFORMED_POLICIES:
-        raise ValueError(
-            f"malformed must be one of {MALFORMED_POLICIES}, got {malformed!r}"
-        )
-    records: List[dict] = []
-    skipped: List[int] = []
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ArtifactError(f"cannot read artifact {path}: {exc}") from exc
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("record is not a JSON object")
-            except ValueError as exc:
-                if malformed == "error":
-                    raise ArtifactError(
-                        f"{path}:{lineno}: malformed artifact line ({exc})"
-                    ) from exc
-                skipped.append(lineno)
-                continue
-            records.append(record)
-    return records, skipped
 
 
 def resolve_artifact(arg, filename: str = "attribution.jsonl") -> Path:

@@ -3,10 +3,10 @@
 Two things live here:
 
 * :class:`ScheduledCall` — an entry in the simulator's event queue binding a
-  callback to a simulated timestamp.  The kernel queues it in a
-  ``(time_ps, seq, call)`` heap tuple, so simultaneous events run in
-  scheduling order, which keeps runs deterministic; calls themselves are
-  never compared.
+  callback to a simulated timestamp.  The entry *is* the heap item: a list
+  ``[time_ps, seq, fn, args, sim]`` that ``heapq`` orders by its first two
+  slots, so simultaneous events run in scheduling order, which keeps runs
+  deterministic; ``seq`` is unique, so the callback is never compared.
 * :class:`Signal` — a wake-up point processes can wait on.  A signal can be
   triggered at most once with an optional value; waiting on an already
   triggered signal resumes immediately.  This matches the "event" concept in
@@ -17,38 +17,58 @@ from __future__ import annotations
 
 from typing import Any, Callable, List
 
+#: slot indices of a :class:`ScheduledCall`
+TIME, SEQ, FN, ARGS, SIM = range(5)
 
-class ScheduledCall:
+
+class ScheduledCall(list):
     """A callback scheduled at an absolute simulated time.
 
     Instances are created by :meth:`repro.sim.kernel.Simulator.call_at` and
     friends; user code normally only keeps them to :meth:`cancel`.
+
+    The kernel builds one per event straight from a tuple (no Python-level
+    constructor runs) and pushes it onto its heap as is.  The slots are
+    ``[time_ps, seq, fn, args, sim]``: ``fn`` is cleared to ``None`` by
+    :meth:`cancel`, and ``sim`` — the owning kernel — is cleared when the
+    entry leaves the queue (dispatch or cancel), so the kernel's O(1)
+    live-event counter only moves for calls actually sitting in the queue.
     """
 
-    __slots__ = ("time_ps", "fn", "args", "cancelled", "_sim")
+    __slots__ = ()
 
-    def __init__(self, time_ps: int, fn: Callable[..., Any], args: tuple, sim=None):
-        self.time_ps = time_ps
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        # Back-reference to the owning kernel while the entry is still
-        # queued; the kernel clears it at dispatch so its O(1) live-event
-        # counter only moves for calls actually sitting in the queue.
-        self._sim = sim
+    @property
+    def time_ps(self) -> int:
+        return self[TIME]
+
+    @property
+    def fn(self) -> Callable[..., Any]:
+        return self[FN]
+
+    @property
+    def args(self) -> tuple:
+        return self[ARGS]
+
+    @property
+    def cancelled(self) -> bool:
+        return self[FN] is None
 
     def cancel(self) -> None:
-        """Prevent the callback from running when its time arrives."""
-        if not self.cancelled:
-            self.cancelled = True
-            sim = self._sim
+        """Prevent the callback from running when its time arrives.
+
+        A no-op on an entry already cancelled; on one already dispatched it
+        only marks the entry cancelled.
+        """
+        if self[FN] is not None:
+            self[FN] = None
+            sim = self[SIM]
             if sim is not None:
-                self._sim = None
+                self[SIM] = None
                 sim._live_events -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<ScheduledCall t={self.time_ps}ps {self.fn!r} {state}>"
+        return f"<ScheduledCall t={self[TIME]}ps {self[FN]!r} {state}>"
 
 
 class Signal:

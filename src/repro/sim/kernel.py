@@ -12,11 +12,15 @@ Design notes
   stochastic takes an explicit :class:`repro.sim.rng.Rng`.
 * Processes are plain generators (see :mod:`repro.sim.process`); the kernel
   only knows about scheduled callbacks, keeping the core small and auditable.
-* Heap entries are ``(time_ps, seq, call)`` tuples: ``heapq`` sifts compare
-  C integers, and ``seq`` is unique so the call object itself is never
-  compared.  A live (not-yet-cancelled) event counter is maintained O(1)
-  across scheduling, cancellation, and dispatch so :attr:`pending_events`
-  never scans the heap.
+* Heap entries are :class:`~repro.sim.event.ScheduledCall` lists
+  ``[time_ps, seq, fn, args, sim]``, built from a tuple with no Python
+  constructor: ``heapq`` sifts compare C integers, and ``seq`` is unique so
+  the callback is never compared.  The entry is also the handle
+  :meth:`Simulator.call_at` returns.  A live (not-yet-cancelled) event
+  counter is maintained O(1) across scheduling, cancellation, and dispatch
+  so :attr:`pending_events` never scans the heap.
+* :attr:`Simulator.now_ps` is a plain attribute the kernel writes at each
+  dispatch; models read it several times per event.
 * :meth:`Simulator.run` and :meth:`Simulator.run_until_signal` share one
   drain, :meth:`Simulator._dispatch`, so they share one set of guards.
   See ``docs/kernel.md`` for the hot-path design rules.
@@ -24,14 +28,14 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from ..errors import SimulationError
 from ..telemetry import probe
 from . import profile as _profile
-from .event import ScheduledCall, Signal
+from .event import ARGS, FN, SIM, TIME, ScheduledCall, Signal
 
 #: default runaway-loop guard: exactly this many events may execute before
 #: a dispatch loop raises :class:`SimulationError`
@@ -45,37 +49,33 @@ class Simulator:
     """A deterministic discrete-event simulator with picosecond resolution."""
 
     def __init__(self) -> None:
-        self._now_ps = 0
+        #: current simulated time in picoseconds; written only by the kernel
+        self.now_ps = 0
         self._seq = 0
-        self._queue: List[Tuple[int, int, ScheduledCall]] = []
+        self._queue: List[ScheduledCall] = []
         self._live_events = 0
         self._running = False
 
     # -- time ----------------------------------------------------------
 
     @property
-    def now_ps(self) -> int:
-        """Current simulated time in picoseconds."""
-        return self._now_ps
-
-    @property
     def now_ns(self) -> float:
         """Current simulated time in nanoseconds (convenience for reports)."""
-        return self._now_ps / 1_000
+        return self.now_ps / 1_000
 
     # -- scheduling ------------------------------------------------------
 
     def call_at(self, time_ps: int, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
         """Schedule ``fn(*args)`` at absolute simulated time ``time_ps``."""
-        if time_ps < self._now_ps:
+        if time_ps < self.now_ps:
             raise SimulationError(
-                f"cannot schedule in the past: {time_ps} < now {self._now_ps}"
+                f"cannot schedule in the past: {time_ps} < now {self.now_ps}"
             )
         seq = self._seq
         self._seq = seq + 1
-        call = ScheduledCall(time_ps, fn, args, self)
+        call = ScheduledCall((time_ps, seq, fn, args, self))
         self._live_events += 1
-        heapq.heappush(self._queue, (time_ps, seq, call))
+        heappush(self._queue, call)
         return call
 
     def call_after(self, delay_ps: int, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
@@ -84,12 +84,12 @@ class Simulator:
             raise SimulationError(f"negative delay: {delay_ps}")
         # Inlined call_at (minus the cannot-happen past check): this is the
         # kernel's most-called scheduling entry point.
-        time_ps = self._now_ps + delay_ps
+        time_ps = self.now_ps + delay_ps
         seq = self._seq
         self._seq = seq + 1
-        call = ScheduledCall(time_ps, fn, args, self)
+        call = ScheduledCall((time_ps, seq, fn, args, self))
         self._live_events += 1
-        heapq.heappush(self._queue, (time_ps, seq, call))
+        heappush(self._queue, call)
         return call
 
     def trigger_after(self, delay_ps: int, signal: Signal, value: Any = None) -> ScheduledCall:
@@ -104,13 +104,13 @@ class Simulator:
         # drives table5 through here, and its pinned kernel.* counters say 0.
         queue = self._queue
         while queue:
-            call = heapq.heappop(queue)[2]
-            if call.cancelled:
+            time_ps, _, fn, args, _ = call = heappop(queue)
+            if fn is None:
                 continue
-            call._sim = None
+            call[SIM] = None
             self._live_events -= 1
-            self._now_ps = call.time_ps
-            call.fn(*call.args)
+            self.now_ps = time_ps
+            fn(*args)
             return True
         return False
 
@@ -122,14 +122,15 @@ class Simulator:
         events may execute; the error raises when one more is due.
         """
         trace = probe.session
-        start_ps = self._now_ps
+        start_ps = self.now_ps
         executed = self._dispatch(until_ps, max_events, _NEVER)
-        if until_ps is not None and self._now_ps < until_ps:
-            self._now_ps = until_ps
+        if until_ps is not None and self.now_ps < until_ps:
+            self.now_ps = until_ps
         if trace is not None:
-            trace.complete(
-                "kernel", "run", start_ps, self._now_ps, {"events": executed}
-            )
+            if trace.records_spans:
+                trace.complete(
+                    "kernel", "run", start_ps, self.now_ps, {"events": executed}
+                )
             trace.count("kernel.runs")
             trace.count("kernel.events", executed)
         return executed
@@ -148,7 +149,7 @@ class Simulator:
         never fires the signal would otherwise spin forever with no timeout).
         """
         trace = probe.session
-        start_ps = self._now_ps
+        start_ps = self.now_ps
         deadline = None if timeout_ps is None else start_ps + timeout_ps
         executed = self._dispatch(deadline, max_events, signal)
         if not signal.triggered:
@@ -160,10 +161,11 @@ class Simulator:
                 f"deadlock: event queue empty, signal {signal.name!r} never fired"
             )
         if trace is not None:
-            trace.complete(
-                "kernel", "run_until_signal", start_ps, self._now_ps,
-                {"signal": signal.name, "events": executed},
-            )
+            if trace.records_spans:
+                trace.complete(
+                    "kernel", "run_until_signal", start_ps, self.now_ps,
+                    {"signal": signal.name, "events": executed},
+                )
             trace.count("kernel.signal_waits")
             trace.count("kernel.events", executed)
         return signal.value
@@ -184,18 +186,19 @@ class Simulator:
         # Instrumentation is looked up once per call, never per event: with
         # it off, the untimed body below pays nothing for its existence.
         trace = probe.session
-        trace_events = trace is not None and trace.kernel_events
+        trace_events = trace is not None and trace.kernel_events and trace.records_spans
         prof = _profile.active
         queue = self._queue
-        heappop = heapq.heappop
         executed = 0
         try:
             if not trace_events and prof is None:
                 while queue and not stop._triggered:
-                    time_ps, _, call = queue[0]
-                    if call.cancelled:
+                    call = queue[0]
+                    fn = call[FN]
+                    if fn is None:
                         heappop(queue)
                         continue
+                    time_ps = call[TIME]
                     if until_ps is not None and time_ps > until_ps:
                         break
                     if executed >= max_events:
@@ -203,19 +206,21 @@ class Simulator:
                             f"exceeded max_events={max_events}; likely a scheduling loop"
                         )
                     heappop(queue)
-                    call._sim = None
+                    call[SIM] = None
                     self._live_events -= 1
-                    self._now_ps = time_ps
-                    call.fn(*call.args)
+                    self.now_ps = time_ps
+                    fn(*call[ARGS])
                     executed += 1
                 return executed
             if prof is not None:
                 prof.runs += 1
             while queue and not stop._triggered:
-                time_ps, _, call = queue[0]
-                if call.cancelled:
+                call = queue[0]
+                fn = call[FN]
+                if fn is None:
                     heappop(queue)
                     continue
+                time_ps = call[TIME]
                 if until_ps is not None and time_ps > until_ps:
                     break
                 if executed >= max_events:
@@ -223,17 +228,16 @@ class Simulator:
                         f"exceeded max_events={max_events}; likely a scheduling loop"
                     )
                 heappop(queue)
-                call._sim = None
+                call[SIM] = None
                 self._live_events -= 1
-                self._now_ps = time_ps
-                fn = call.fn
+                self.now_ps = time_ps
                 if trace_events:
                     trace.instant("kernel", getattr(fn, "__qualname__", "event"), time_ps)
                 if prof is None:
-                    fn(*call.args)
+                    fn(*call[ARGS])
                 else:
                     t0 = perf_counter()
-                    fn(*call.args)
+                    fn(*call[ARGS])
                     prof.record(_profile.event_key(fn), perf_counter() - t0)
                 executed += 1
             return executed

@@ -154,11 +154,12 @@ class BlockDevice:
                     self.bytes_written += nbytes
                     self.write_latency.record(now - t0)
                 if trace is not None:
-                    span = "rd" if op == "read" else "wr"
-                    trace.complete(
-                        "storage", f"{span}:{self.name}", t0, now,
-                        {"bytes": nbytes},
-                    )
+                    if trace.records_spans:
+                        span = "rd" if op == "read" else "wr"
+                        trace.complete(
+                            "storage", f"{span}:{self.name}", t0, now,
+                            {"bytes": nbytes},
+                        )
                     if op == "read":
                         trace.count("storage.reads")
                         trace.count("storage.bytes_read", nbytes)
@@ -168,8 +169,9 @@ class BlockDevice:
             else:
                 self.io_failures += 1
                 if trace is not None:
-                    trace.instant("storage", f"io_error:{self.name}", now,
-                                  {"op": op, "offset": offset})
+                    if trace.records_spans:
+                        trace.instant("storage", f"io_error:{self.name}", now,
+                                      {"op": op, "offset": offset})
                     trace.count("storage.io_failed")
             stage_to(now)
             if owned:

@@ -231,8 +231,9 @@ class PmemBlockDevice:
             return "retry"
         self.io_failures += 1
         if trace is not None:
-            trace.instant("storage", f"io_error:{self.name}", self.sim.now_ps,
-                          {"op": op, "offset": offset})
+            if trace.records_spans:
+                trace.instant("storage", f"io_error:{self.name}", self.sim.now_ps,
+                              {"op": op, "offset": offset})
             trace.count("storage.io_failed")
         return StorageError(
             f"{self.name}: injected IO error on {op} at {offset:#x} "

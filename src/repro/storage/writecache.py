@@ -269,10 +269,11 @@ class NvWriteCache:
                 self.stalls += 1
                 trace = probe.session
                 if trace is not None:
-                    trace.instant(
-                        "storage", f"stall:{self.name}", self.sim.now_ps,
-                        {"full_segments": self._full_segments},
-                    )
+                    if trace.records_spans:
+                        trace.instant(
+                            "storage", f"stall:{self.name}", self.sim.now_ps,
+                            {"full_segments": self._full_segments},
+                        )
                     trace.count("storage.wcache.stalls")
             gate = Signal(f"{self.name}.stall")
             if first:
@@ -422,11 +423,12 @@ class NvWriteCache:
             self._destage_active = False
             trace = probe.session
             if trace is not None:
-                trace.complete(
-                    "storage", f"destage:{self.name}",
-                    destage_start, self.sim.now_ps,
-                    {"bytes": self.config.segment_bytes},
-                )
+                if trace.records_spans:
+                    trace.complete(
+                        "storage", f"destage:{self.name}",
+                        destage_start, self.sim.now_ps,
+                        {"bytes": self.config.segment_bytes},
+                    )
                 trace.count("storage.wcache.destages")
             # one segment freed -> wake the head of the stall queue; it
             # re-runs admission and chain-wakes further writers only

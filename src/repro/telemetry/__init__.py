@@ -23,7 +23,7 @@ from .artifact import (
     SCHEMA_VERSION,
     final_snapshot,
     meta_record,
-    read_jsonl,
+    read_artifact,
     result_record,
     snapshot_record,
     write_jsonl,
@@ -68,7 +68,7 @@ __all__ = [
     "merge_attribution",
     "meta_record",
     "occupancy_sources",
-    "read_jsonl",
+    "read_artifact",
     "result_record",
     "slice_width",
     "snapshot_record",

@@ -21,7 +21,9 @@ tables round-trip as numbers.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+from ..errors import ArtifactError
 
 #: bump when record shapes change incompatibly
 SCHEMA_VERSION = 1
@@ -92,15 +94,57 @@ def write_jsonl(path: str, records: List[dict]) -> int:
     return len(records)
 
 
-def read_jsonl(path: str) -> List[dict]:
-    """Load every record of an artifact (blank lines tolerated)."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+#: malformed-line policies :func:`read_artifact` accepts
+MALFORMED_POLICIES = ("error", "skip")
+
+
+def read_artifact(
+    path, malformed: str = "error", missing_ok: bool = False
+) -> Tuple[List[dict], List[int]]:
+    """Load a JSONL artifact; returns ``(records, skipped line numbers)``.
+
+    The one JSONL reader: metrics, attribution, manifests and every report
+    input go through it.  ``malformed="error"`` (default) raises
+    :class:`~repro.errors.ArtifactError` with file and line context on the
+    first bad line; ``malformed="skip"`` collects the 1-based line numbers
+    of unparseable lines instead (a campaign manifest torn by a crash ends
+    in one).  Records that parse but are not JSON objects count as
+    malformed — every artifact schema in this repo is a stream of objects.
+    Blank lines are tolerated.  A missing file raises, or with
+    ``missing_ok`` reads as empty.
+    """
+    if malformed not in MALFORMED_POLICIES:
+        raise ValueError(
+            f"malformed must be one of {MALFORMED_POLICIES}, got {malformed!r}"
+        )
+    records: List[dict] = []
+    skipped: List[int] = []
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except FileNotFoundError as exc:
+        if missing_ok:
+            return records, skipped
+        raise ArtifactError(f"cannot read artifact {path}: {exc}") from exc
+    except OSError as exc:
+        raise ArtifactError(f"cannot read artifact {path}: {exc}") from exc
+    with handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("record is not a JSON object")
+            except ValueError as exc:
+                if malformed == "error":
+                    raise ArtifactError(
+                        f"{path}:{lineno}: malformed artifact line ({exc})"
+                    ) from exc
+                skipped.append(lineno)
+                continue
+            records.append(record)
+    return records, skipped
 
 
 def final_snapshot(records: List[dict]) -> Optional[dict]:

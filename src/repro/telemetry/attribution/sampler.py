@@ -12,17 +12,24 @@ arrives), which is exactly right — there is no occupancy to observe.
 
 Sources are plain callables returning the current depth of one queue:
 DMI tag windows, replay buffers, the buffer write cache, memory
-controller queues, DRAM banks, MBS command engines.  They are registered
-per system build (:func:`occupancy_sources`) and recorded as
-``occupancy.<name>`` histograms, so snapshots report p50/p95/max depth.
+controller queues, DRAM banks, MBS command engines.  A source keyed by a
+tuple of names returns one depth per name, so one read serves a whole
+device (a DRAM rank reports its busy-bank count and every bank's flag
+together).  They are registered per system build (:func:`occupancy_sources`)
+and recorded as ``occupancy.<name>`` histograms, so snapshots report
+p50/p95/max depth.  The histograms are bound on a session's first sample,
+so a sample costs one read per source and one append per depth.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Sequence, Tuple, Union
 
 #: default sampling period: 100 ns of simulated time
 DEFAULT_OCCUPANCY_PERIOD_PS = 100_000
+
+#: one metric name, or a tuple of names read together
+SourceKey = Union[str, Tuple[str, ...]]
 
 
 class OccupancySampler:
@@ -32,36 +39,57 @@ class OccupancySampler:
         if period_ps <= 0:
             raise ValueError("occupancy sampling period must be positive")
         self.period_ps = period_ps
-        self.sources: Dict[str, Callable[[], float]] = {}
-        #: (metric name, reader) pairs — names are prefixed once at
-        #: registration, not re-formatted on every sample
-        self._items: list = []
+        self.sources: Dict[SourceKey, Callable[[], Union[float, Sequence[float]]]] = {}
+        #: (histogram appender, reader) for single sources and
+        #: (appenders, reader) for grouped ones, bound to ``_bound_to``
+        self._singles: list = []
+        self._groups: list = []
+        self._bound_to = None
         self.samples_taken = 0
         self._next_due_ps = 0
 
-    def set_sources(self, sources: Dict[str, Callable[[], float]]) -> None:
+    def set_sources(
+        self, sources: Dict[SourceKey, Callable[[], Union[float, Sequence[float]]]]
+    ) -> None:
         """Replace the source set (one system build owns the sampler at a
         time — experiments that build several systems re-register)."""
         self.sources = dict(sources)
-        self._items = [
-            (f"occupancy.{name}", read) for name, read in self.sources.items()
-        ]
+        self._bound_to = None
+
+    def _bind(self, trace) -> None:
+        """Create (or look up) every source's histogram in ``trace``'s
+        registry and keep its sample list's ``append``."""
+        def appender(name: str):
+            return trace.registry.histogram(f"occupancy.{name}").samples.append
+
+        self._singles, self._groups = [], []
+        for key, read in self.sources.items():
+            if isinstance(key, tuple):
+                self._groups.append((tuple(appender(name) for name in key), read))
+            else:
+                self._singles.append((appender(key), read))
+        self._bound_to = trace
 
     def maybe_sample(self, trace, now_ps: int) -> bool:
         """Sample every source if the period has elapsed; returns whether
         a sample was taken.  Call sites are already under the ambient
         probe nil-check, so the disabled cost stays one attribute load."""
-        if now_ps < self._next_due_ps or not self._items:
+        if now_ps < self._next_due_ps or not self.sources:
             return False
         self._next_due_ps = now_ps + self.period_ps
         self.samples_taken += 1
         trace.count("occupancy.samples")
-        for name, read in self._items:
-            trace.record(name, read())
+        if self._bound_to is not trace:
+            self._bind(trace)
+        for append, read in self._singles:
+            append(read())
+        for appends, read in self._groups:
+            for append, depth in zip(appends, read()):
+                append(depth)
         return True
 
 
-def occupancy_sources(socket) -> Dict[str, Callable[[], float]]:
+def occupancy_sources(socket) -> Dict[SourceKey, Callable[[], object]]:
     """Depth sources for every queue behind a :class:`Power8Socket`.
 
     Covers, per populated channel: the host tag window, both replay
@@ -69,7 +97,7 @@ def occupancy_sources(socket) -> Dict[str, Callable[[], float]]:
     count, each memory controller's request queue, busy DRAM banks, and
     — on ConTutto — the MBS command-engine pool.
     """
-    sources: Dict[str, Callable[[], float]] = {}
+    sources: Dict[SourceKey, Callable[[], object]] = {}
     sim = socket.sim
     for index in sorted(socket.slots):
         slot = socket.slots[index]
@@ -101,16 +129,13 @@ def occupancy_sources(socket) -> Dict[str, Callable[[], float]]:
                 sources[f"tier.{device.name}.hot_slow_pages"] = (
                     lambda d=device: float(d.hot_slow_pages)
                 )
-            if hasattr(device, "banks_busy"):
-                sources[f"memory.{device.name}.banks_busy"] = (
-                    lambda d=device, s=sim: d.banks_busy(s.now_ps)
+            if hasattr(device, "bank_occupancy"):
+                # busy-bank count, then per-bank busy flags: the contention
+                # histogram shows how evenly an address stream spreads
+                # across the rank
+                names = (f"memory.{device.name}.banks_busy",) + tuple(
+                    f"memory.{device.name}.bank{bank}_busy"
+                    for bank in range(device.NUM_BANKS)
                 )
-                # per-bank busy flags: the contention histogram shows how
-                # evenly an address stream spreads across the rank
-                for bank in range(device.NUM_BANKS):
-                    sources[f"memory.{device.name}.bank{bank}_busy"] = (
-                        lambda d=device, b=bank, s=sim: float(
-                            d.bank_busy(b, s.now_ps)
-                        )
-                    )
+                sources[names] = lambda d=device, s=sim: d.bank_occupancy(s.now_ps)
     return sources

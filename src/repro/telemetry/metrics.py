@@ -115,7 +115,8 @@ class Histogram(Metric):
         self.samples.append(value)
 
     def reset(self) -> None:
-        self.samples = []
+        # in place: hot recorders keep ``samples.append`` bound
+        self.samples.clear()
 
     @property
     def count(self) -> int:

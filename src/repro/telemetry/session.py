@@ -11,6 +11,13 @@ is active (it is a context manager), instrumented components emit:
 * **metrics** — named counters/gauges/histograms in the session's
   :class:`~repro.telemetry.registry.MetricsRegistry`.
 
+A session that stores no spans (``max_events=0``, as every campaign job
+runs) is span-free by construction: its :attr:`TraceSession.records_spans`
+is False, and every call site tests that flag before it formats a span's
+label and args, so :meth:`TraceSession.complete` and
+:meth:`TraceSession.instant` are never reached.  ``telemetry.dropped_events``
+therefore counts only spans dropped past a positive cap.
+
 Nothing here touches the simulator: call sites pass ``sim.now_ps``
 explicitly, which keeps this package import-safe from every layer
 (``repro.sim`` imports telemetry, never the other way around).
@@ -36,7 +43,7 @@ from .attribution import (
     session_attribution_records,
 )
 from .chrome import to_chrome_events, truncation_marker, write_chrome_trace
-from .metrics import Counter
+from .metrics import Counter, Histogram
 from .registry import MetricsRegistry
 
 #: default cap on stored trace events; beyond it events are counted but
@@ -86,12 +93,18 @@ class TraceSession:
         #: event — enormous traces, useful only for microscopic debugging
         self.kernel_events = kernel_events
         self.max_events = max_events
+        #: whether spans and instants are stored at all; call sites test it
+        #: before building a span, so a ``max_events=0`` session never
+        #: reaches :meth:`complete` or :meth:`instant`
+        self.records_spans = max_events > 0
         self.registry = registry or MetricsRegistry()
         for core in CORE_COUNTERS:
             self.registry.counter(core)
-        # bound once: span-capped sessions (campaign workers run
-        # max_events=0) route EVERY span through _drop_event
         self._dropped_counter = self.registry.counter("telemetry.dropped_events")
+        #: the per-frame DMI counters, bound once: the link and endpoints
+        #: bump ``.count`` directly, an attribute increment per frame
+        self.frames_sent = self.registry.counter("dmi.frames_sent")
+        self.frames_accepted = self.registry.counter("dmi.frames_accepted")
         self.events: List[TraceEvent] = []
         self.dropped_events = 0
         self.snapshots: List[dict] = []
@@ -179,7 +192,13 @@ class TraceSession:
         self.registry.gauge(name).set(value)
 
     def record(self, name: str, value: float) -> None:
-        self.registry.histogram(name).record(value)
+        # the same fast path as count(): occupancy sampling and the
+        # per-command latency histograms record tens of thousands of times
+        metric = self.registry._metrics.get(name)
+        if metric is not None and metric.__class__ is Histogram:
+            metric.samples.append(value)
+        else:
+            self.registry.histogram(name).record(value)
 
     # -- snapshots ----------------------------------------------------------
 

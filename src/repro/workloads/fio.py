@@ -111,10 +111,11 @@ class FioRunner:
         duration_ps = self.sim.now_ps - start_ps
         trace = probe.session
         if trace is not None:
-            trace.complete(
-                "workload", f"fio.{job.rw}", start_ps, self.sim.now_ps,
-                {"iodepth": job.iodepth, "ios": job.total_ios},
-            )
+            if trace.records_spans:
+                trace.complete(
+                    "workload", f"fio.{job.rw}", start_ps, self.sim.now_ps,
+                    {"iodepth": job.iodepth, "ios": job.total_ios},
+                )
             trace.count("workload.fio_jobs")
             trace.count("workload.fio_ios", job.total_ios)
         ordered = sorted(latencies_ps)

@@ -16,7 +16,7 @@ from repro.campaign import (
     completed_job_ids,
     read_manifest,
 )
-from repro.telemetry import MetricsRegistry, read_jsonl
+from repro.telemetry import MetricsRegistry, read_artifact
 
 
 def echo_matrix(values, base_seed=0):
@@ -176,6 +176,30 @@ class TestManifestAndResume:
         assert report.outcomes[0].source == "run"
         assert report.outcomes[0].ok
 
+    def test_torn_final_line_is_skipped(self, tmp_path):
+        # a crash mid-write leaves a partial last record: reading keeps
+        # every complete record, and resume replays the completed job
+        jobs = echo_matrix([1, 2]).expand()
+        manifest = tmp_path / "manifest.jsonl"
+        cache_dir = tmp_path / "cache"
+        CampaignRunner(
+            jobs, workers=1, cache=ResultCache(cache_dir),
+            manifest_path=str(manifest),
+        ).run()
+        complete = read_manifest(str(manifest))
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write('{"schema": "repro.campaign/v1", "kind": "jo')
+        assert read_manifest(str(manifest)) == complete
+        report = CampaignRunner(
+            jobs, workers=1, cache=ResultCache(cache_dir),
+            manifest_path=str(manifest), resume=True,
+        ).run()
+        assert not report.failed
+        assert {o.source for o in report.outcomes} == {"resume"}
+
+    def test_missing_manifest_reads_empty(self, tmp_path):
+        assert read_manifest(str(tmp_path / "never-written.jsonl")) == []
+
 
 class TestTelemetryMerge:
     def test_merged_artifact_aggregates_worker_snapshots(self, tmp_path):
@@ -184,7 +208,7 @@ class TestTelemetryMerge:
         path = tmp_path / "metrics.jsonl"
         report.write_telemetry(str(path), params={"jobs": 2})
 
-        records = read_jsonl(str(path))
+        records = read_artifact(str(path))[0]
         kinds = [r["kind"] for r in records]
         assert kinds[0] == "meta"
         assert kinds.count("result") == len(report.tables())
@@ -209,7 +233,7 @@ class TestTelemetryMerge:
         parallel.write_attribution(str(b))
         assert a.read_bytes() == b.read_bytes()
 
-        records = read_jsonl(str(a))
+        records = read_artifact(str(a))[0]
         meta = records[0]
         assert meta["kind"] == "meta"
         assert meta["sources"] == sorted(f"job:{j.job_id}" for j in jobs)

@@ -8,7 +8,7 @@ tables.
 """
 
 from repro.campaign import CampaignRunner, ScenarioMatrix
-from repro.telemetry import read_jsonl
+from repro.telemetry import read_artifact
 
 
 def tiered_matrix():
@@ -40,7 +40,7 @@ class TestTieredCampaign:
         parallel.write_attribution(str(b))
         assert a.read_bytes() == b.read_bytes()
 
-        records = read_jsonl(str(a))
+        records = read_artifact(str(a))[0]
         scenarios = {r["scenario"] for r in records
                      if r["kind"] == "end_to_end"}
         assert scenarios == {
@@ -56,7 +56,7 @@ class TestTieredCampaign:
         report = CampaignRunner(tiered_matrix().expand(), workers=2).run()
         path = tmp_path / "metrics.jsonl"
         report.write_telemetry(str(path), params={"jobs": 2})
-        snapshots = [r for r in read_jsonl(str(path))
+        snapshots = [r for r in read_artifact(str(path))[0]
                      if r["kind"] == "snapshot"]
         merged = snapshots[-1]["metrics"]
         assert snapshots[-1]["label"] == "merged"

@@ -9,7 +9,7 @@ import pytest
 
 from repro import run_table3
 from repro.processor import SocketConfig
-from repro.telemetry import TraceSession, final_snapshot, read_jsonl
+from repro.telemetry import TraceSession, final_snapshot, read_artifact
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -184,7 +184,7 @@ class TestCli:
         assert starts == finishes == ids
         assert any(e["cat"] == "journey" and e["ph"] == "X" for e in events)
 
-        records = read_jsonl(out / "metrics.jsonl")
+        records = read_artifact(out / "metrics.jsonl")[0]
         kinds = [r["kind"] for r in records]
         assert kinds[0] == "meta"
         assert "result" in kinds
@@ -192,7 +192,7 @@ class TestCli:
         assert snap["dmi.frames_sent"] > 0
         assert "buffer.cache.misses" in snap
 
-        attribution = read_jsonl(out / "attribution.jsonl")
+        attribution = read_artifact(out / "attribution.jsonl")[0]
         assert attribution[0]["kind"] == "meta"
         assert attribution[0]["journeys"] >= 24
         assert any(r["kind"] == "journey" for r in attribution)

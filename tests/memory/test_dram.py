@@ -78,6 +78,20 @@ class TestRowBuffer:
         assert dram.row_buffer_hit_rate == pytest.approx(9 / 10)
 
 
+class TestBankOccupancy:
+    def test_idle_rank_reports_no_busy_banks(self):
+        assert fresh_dram().bank_occupancy(0) == [0] + [0.0] * DdrDram.NUM_BANKS
+
+    def test_busy_count_then_per_bank_flags(self):
+        dram = fresh_dram()
+        dram.read(0, 128, 0)                      # bank 0
+        dram.read(DdrDram.ROW_BYTES, 128, 0)      # bank 1
+        occupancy = dram.bank_occupancy(1)
+        assert occupancy[0] == 2 and isinstance(occupancy[0], int)
+        assert occupancy[1:] == [1.0, 1.0] + [0.0] * (DdrDram.NUM_BANKS - 2)
+        assert dram.bank_occupancy(10**9)[0] == 0  # long after both finished
+
+
 class TestTimingGrades:
     def test_faster_grade_lower_latency(self):
         def cold_read(timing):

@@ -63,6 +63,21 @@ class TestReadArtifact:
         with pytest.raises(ArtifactError):
             read_artifact(tmp_path / "nope.jsonl")
 
+    def test_missing_ok_reads_empty(self, tmp_path):
+        assert read_artifact(tmp_path / "nope.jsonl", missing_ok=True) == ([], [])
+
+    def test_lenient_skips_a_torn_final_line(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(json.dumps({"n": 1}) + "\n" + '{"n": 2, "sta', encoding="utf-8")
+        records, skipped = read_artifact(path, malformed="skip")
+        assert records == [{"n": 1}] and skipped == [2]
+
+    def test_one_reader_for_every_layer(self):
+        from repro import telemetry
+        from repro.report import artifacts
+
+        assert artifacts.read_artifact is telemetry.read_artifact
+
     def test_bad_policy_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             read_artifact(tmp_path / "x.jsonl", malformed="ignore")

@@ -4,7 +4,8 @@ The textbook definition of :class:`repro.sim.Simulator` dispatch: every
 scheduled call sits in a plain list, and the scheduler repeatedly runs the
 live call with the smallest ``(time_ps, seq)``.  There is no heap and no
 live-event counter, and one loop serves both ``run`` and
-``run_until_signal``.
+``run_until_signal``; ``step`` runs one call outside that loop.  Cancelling
+a call that already ran, or cancelling twice, changes nothing.
 """
 
 from repro.errors import SimulationError
@@ -34,27 +35,41 @@ class ReferenceScheduler:
         self._calls.append(ReferenceCall((time_ps, self._seq), fn, args))
         return self._calls[-1]
 
+    def _next_live(self):
+        live = [call for call in self._calls if not call.cancelled]
+        return min(live, key=lambda c: c.key) if live else None
+
+    def _execute(self, call):
+        self._calls.remove(call)
+        self.now_ps = call.key[0]
+        call.fn(*call.args)
+
     def _drain(self, until_ps, max_events, stopped):
         if self._running:
             raise SimulationError("re-entrant dispatch")
         self._running, executed = True, 0
         try:
             while not stopped():
-                live = [call for call in self._calls if not call.cancelled]
-                if not live:
+                call = self._next_live()
+                if call is None:
                     break
-                call = min(live, key=lambda c: c.key)
                 if until_ps is not None and call.key[0] > until_ps:
                     break
                 if executed == max_events:
                     raise SimulationError(f"exceeded max_events={max_events}")
-                self._calls.remove(call)
-                self.now_ps = call.key[0]
-                call.fn(*call.args)
+                self._execute(call)
                 executed += 1
             return executed
         finally:
             self._running = False
+
+    def step(self):
+        """Run the single next live call, outside any drain's guards."""
+        call = self._next_live()
+        if call is None:
+            return False
+        self._execute(call)
+        return True
 
     def run(self, until_ps=None, max_events=DEFAULT_MAX_EVENTS):
         executed = self._drain(until_ps, max_events, lambda: False)

@@ -14,13 +14,20 @@ cancelled-event semantics both wrappers and both bodies must share:
   self-rescheduling loop that never fires the signal and never passes a
   timeout would otherwise spin forever), and, like ``run()``, raise only
   when one more event is due: a queue that drains at the limit is a
-  deadlock.
+  deadlock;
+* the heap entry is the handle :meth:`Simulator.call_at` returns:
+  cancelling it before dispatch removes it from ``pending_events`` once,
+  cancelling it again or after it ran changes nothing, ``step()`` skips
+  it like the drains do, and scheduling runs no Python code but the
+  scheduling call itself.
 """
+
+import sys
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Signal, Simulator
+from repro.sim import ScheduledCall, Signal, Simulator
 from repro.sim.profile import profiled
 from repro.telemetry import TraceSession
 
@@ -168,3 +175,100 @@ class TestCancelledAcrossDispatchLoops:
         with profiled():
             sim.run_until_signal(sig)
         assert seen == ["live"]
+
+
+class TestScheduledCallHandle:
+    """The heap entry doubles as the cancel handle."""
+
+    def test_cancel_before_dispatch(self):
+        sim = Simulator()
+        seen = []
+        call = sim.call_after(100, lambda: seen.append("dead"))
+        sim.call_after(200, lambda: seen.append("live"))
+        assert sim.pending_events == 2
+        call.cancel()
+        assert call.cancelled
+        assert sim.pending_events == 1
+        assert sim.run() == 1
+        assert seen == ["live"]
+        assert sim.pending_events == 0
+
+    def test_cancel_after_dispatch_is_a_noop(self):
+        sim = Simulator()
+        seen = []
+        ran = sim.call_after(100, lambda: seen.append("ran"))
+        sim.call_after(200, lambda: seen.append("later"))
+        sim.run(until_ps=150)
+        assert seen == ["ran"] and sim.pending_events == 1
+        ran.cancel()
+        assert sim.pending_events == 1  # the counter never saw it twice
+        assert sim.run() == 1
+        assert seen == ["ran", "later"]
+        assert sim.pending_events == 0
+
+    def test_double_cancel_counts_once(self):
+        sim = Simulator()
+        call = sim.call_after(100, lambda: None)
+        sim.call_after(200, lambda: None)
+        call.cancel()
+        call.cancel()
+        assert sim.pending_events == 1
+        assert sim.run() == 1
+        assert sim.pending_events == 0
+
+    def test_cancel_from_inside_a_callback(self):
+        sim = Simulator()
+        seen = []
+        later = sim.call_after(200, lambda: seen.append("dead"))
+        sim.call_after(100, later.cancel)
+        assert sim.run() == 1
+        assert seen == [] and sim.pending_events == 0
+
+    def test_step_skips_cancelled_entries(self):
+        sim = Simulator()
+        seen = []
+        sim.call_after(100, lambda: seen.append("dead")).cancel()
+        sim.call_after(200, lambda: seen.append("live"))
+        assert sim.step()
+        assert seen == ["live"] and sim.now_ps == 200
+        assert sim.pending_events == 0
+        assert not sim.step()
+
+    def test_step_then_cancel_is_a_noop(self):
+        sim = Simulator()
+        call = sim.call_after(100, lambda: None)
+        sim.call_after(200, lambda: None)
+        assert sim.step()
+        call.cancel()
+        assert sim.pending_events == 1
+
+    def test_handle_exposes_its_call(self):
+        sim = Simulator()
+
+        def fn(a, b):
+            return None
+
+        call = sim.call_at(300, fn, 1, 2)
+        assert isinstance(call, ScheduledCall)
+        assert (call.time_ps, call.fn, call.args) == (300, fn, (1, 2))
+        assert not call.cancelled
+
+    def test_scheduling_runs_no_python_constructor(self):
+        # the entry is built from a tuple in C: the only Python frames a
+        # schedule opens are call_at / call_after themselves
+        sim = Simulator()
+        frames = []
+
+        def tracer(frame, event, arg):
+            if event == "call":
+                frames.append(frame.f_code.co_name)
+
+        sys.setprofile(tracer)
+        try:
+            sim.call_after(10, print)
+            sim.call_at(20, print)
+        finally:
+            sys.setprofile(None)
+        assert [name for name in frames if name != "tracer"] == [
+            "call_after", "call_at",
+        ]

@@ -1,8 +1,9 @@
 """The kernel against the list-based reference scheduler.
 
-Random programs of scheduling, cancelling, signal triggers, bounded and
-unbounded ``run`` calls and ``run_until_signal`` waits (with and without
-deadlines and ``max_events`` limits) run on both
+Random programs of scheduling, cancelling (handles still pending, already
+dispatched or already cancelled), signal triggers, single ``step`` calls,
+bounded and unbounded ``run`` calls and ``run_until_signal`` waits (with
+and without deadlines and ``max_events`` limits) run on both
 :class:`~repro.sim.Simulator` and :class:`~tests.sim.reference.ReferenceScheduler`.
 Callbacks schedule children, cancel earlier calls, trigger signals and try
 to re-enter the dispatch loop.  Every program runs in three modes, so that
@@ -70,6 +71,7 @@ OPS = st.one_of(
     st.tuples(st.just("trigger"), DELAYS, SIGNAL_INDEX),
     st.tuples(st.just("cancel"), st.integers(0, 15)),
     st.tuples(st.just("run"), st.none() | grid(-1, 4), LIMITS),
+    st.tuples(st.just("step")),
     st.tuples(st.just("wait"), SIGNAL_INDEX, st.none() | grid(0, 4), LIMITS),
 )
 
@@ -122,6 +124,8 @@ def execute(world, program):
                 calls[op[1] % len(calls)].cancel()
         elif kind == "run":
             return world.run(None if op[1] is None else now + op[1], **limit(op[2]))
+        elif kind == "step":
+            return world.step()
         else:
             return world.run_until_signal(signals[op[1]], op[2], **limit(op[3]))
 
@@ -144,6 +148,16 @@ LEAF = (None, None, None, ())
 @example(program=[
     ("trigger", 0, 0), ("schedule", 0, LEAF), ("wait", 0, None, None), ("wait", 0, None, None),
 ])
+# the handle itself: cancel before dispatch, cancel after dispatch (a
+# no-op), double cancel, and step() past a cancelled head
+@example(program=[("schedule", 10, LEAF), ("schedule", 20, LEAF), ("cancel", 0),
+                  ("run", None, None)])
+@example(program=[("schedule", 10, LEAF), ("schedule", 20, LEAF), ("run", 10, None),
+                  ("cancel", 0), ("run", None, None)])
+@example(program=[("schedule", 10, LEAF), ("schedule", 20, LEAF), ("cancel", 0),
+                  ("cancel", 0), ("run", None, None)])
+@example(program=[("schedule", 10, LEAF), ("schedule", 20, LEAF), ("cancel", 0),
+                  ("step",), ("step",), ("step",)])
 def test_simulator_matches_reference(mode, program):
     expected = execute(ReferenceScheduler(), program)
     with MODES[mode]():

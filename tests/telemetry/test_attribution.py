@@ -10,7 +10,7 @@ from repro.telemetry import (
     TraceSession,
     journey_record,
     merge_attribution,
-    read_jsonl,
+    read_artifact,
 )
 from repro.telemetry.attribution import (
     journey_chrome_extras,
@@ -195,7 +195,7 @@ class TestArtifact:
             make_journey(session.journeys, scenario="t3")
         path = tmp_path / "attribution.jsonl"
         session.write_attribution(path)
-        records = read_jsonl(path)
+        records = read_artifact(path)[0]
         assert all(r["schema"] == ATTRIBUTION_SCHEMA for r in records)
         assert records[0]["kind"] == "meta"
         assert records[0]["journeys"] == 1
@@ -215,7 +215,7 @@ class TestArtifact:
             pass
         path = tmp_path / "attribution.jsonl"
         assert session.write_attribution(path) == 1
-        records = read_jsonl(path)
+        records = read_artifact(path)[0]
         assert records[0]["kind"] == "meta"
         assert records[0]["enabled"] is False
 
@@ -245,7 +245,7 @@ class TestArtifact:
         )
         path = tmp_path / "merged.jsonl"
         write_attribution(path, records)
-        assert read_jsonl(path) == records
+        assert read_artifact(path)[0] == records
 
 
 class TestChromeFlows:
@@ -297,6 +297,28 @@ class TestOccupancySampler:
         assert snap["occupancy.samples"] == 2
         assert snap["occupancy.q.count"] == 2
         assert snap["occupancy.q.mean"] == 3
+
+    def test_grouped_source_records_one_histogram_per_name(self):
+        with TraceSession("t") as session:
+            sampler = OccupancySampler(period_ps=100)
+            sampler.set_sources({"q": lambda: 3, ("a", "b"): lambda: [2, 0.5]})
+            assert sampler.maybe_sample(session, 0)
+            assert sampler.maybe_sample(session, 100)
+        snap = session.snapshots[-1]["metrics"]
+        assert snap["occupancy.q.count"] == snap["occupancy.a.count"] == 2
+        assert snap["occupancy.a.mean"] == 2 and snap["occupancy.b.mean"] == 0.5
+
+    def test_bound_histograms_survive_reset_and_new_sessions(self):
+        sampler = OccupancySampler(period_ps=100)
+        sampler.set_sources({"q": lambda: 3})
+        with TraceSession("one") as first:
+            sampler.maybe_sample(first, 0)
+            first.registry.reset()
+            sampler.maybe_sample(first, 100)
+        assert first.registry.get("occupancy.q").samples == [3]
+        with TraceSession("two") as second:
+            sampler.maybe_sample(second, 200)
+        assert second.registry.get("occupancy.q").samples == [3]
 
     def test_no_sources_means_no_samples(self):
         with TraceSession("t") as session:

@@ -10,7 +10,7 @@ from repro.telemetry import (
     TraceSession,
     final_snapshot,
     load_chrome_trace,
-    read_jsonl,
+    read_artifact,
 )
 from repro.telemetry import probe
 
@@ -156,7 +156,7 @@ class TestMetricsArtifact:
             s.count("dmi.frames_sent", 7)
             s.snapshot("mid", ts_ps=123)
         s.write_metrics(path)
-        records = read_jsonl(path)
+        records = read_artifact(path)[0]
         assert all(r["schema"] == SCHEMA for r in records)
         labels = [r["label"] for r in records if r["kind"] == "snapshot"]
         assert labels == ["mid", "final"]
