@@ -28,7 +28,6 @@ from .frames import (
     seq_distance,
 )
 from .link import LinkErrorModel, SerialLink
-from .replay import ReplayBuffer
 from .scrambler import BundleScrambler, LaneScrambler
 from .tags import NUM_TAGS, TagPool
 from .training import (
@@ -60,7 +59,6 @@ __all__ = [
     "LinkTrainer",
     "NUM_TAGS",
     "Opcode",
-    "ReplayBuffer",
     "Response",
     "SEQ_MOD",
     "SerialLink",

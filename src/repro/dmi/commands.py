@@ -39,8 +39,11 @@ class Opcode(enum.Enum):
     MAX_STORE = "max_store"        # ConTutto in-line accel: store max(mem, data)
     CSWAP = "cswap"                # ConTutto in-line accel: conditional swap
 
-    # Classification flags: plain member attributes, set once below (the
-    # command path reads them several times per command).
+    # Classification flags and the label: plain member attributes, set once
+    # below (the command path reads them several times per command).
+
+    #: the value string (``Enum.value`` is a Python-level property)
+    label: str
 
     #: True for commands only the FPGA buffer implements (not Centaur)
     is_extension: bool
@@ -65,6 +68,7 @@ _RMW_OPS = frozenset(
 )
 
 for _op in Opcode:
+    _op.label = _op.value
     _op.is_extension = _op in _EXTENSION_OPS
     _op.has_downstream_data = _op in _DOWNSTREAM_DATA_OPS
     _op.returns_data = _op in _RETURNS_DATA_OPS
@@ -72,7 +76,7 @@ for _op in Opcode:
 del _op
 
 
-@dataclass
+@dataclass(init=False)
 class Command:
     """One memory command as issued on the DMI channel.
 
@@ -91,30 +95,46 @@ class Command:
     #: binding in the journey tracker).  Not part of command identity.
     journey: Optional[int] = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.address % CACHE_LINE_BYTES != 0 and self.opcode is not Opcode.FLUSH:
+    # Written out, not generated with a __post_init__ hook: one command is
+    # built per transaction, and the validation runs in the same call.
+    def __init__(
+        self,
+        opcode: Opcode,
+        address: int,
+        tag: int,
+        data: Optional[bytes] = None,
+        byte_enable: Optional[bytes] = None,
+        journey: Optional[int] = None,
+    ):
+        if address % CACHE_LINE_BYTES != 0 and opcode is not Opcode.FLUSH:
             raise AlignmentError(
-                f"{self.opcode.value} address {self.address:#x} not 128B-aligned"
+                f"{opcode.value} address {address:#x} not 128B-aligned"
             )
-        if not 0 <= self.tag < 32:
-            raise ProtocolError(f"tag {self.tag} outside the 32-tag window")
-        if self.opcode.has_downstream_data:
-            if self.data is None or len(self.data) != CACHE_LINE_BYTES:
+        if not 0 <= tag < 32:
+            raise ProtocolError(f"tag {tag} outside the 32-tag window")
+        if opcode.has_downstream_data:
+            if data is None or len(data) != CACHE_LINE_BYTES:
                 raise ProtocolError(
-                    f"{self.opcode.value} requires a {CACHE_LINE_BYTES}B payload"
+                    f"{opcode.value} requires a {CACHE_LINE_BYTES}B payload"
                 )
-        elif self.data is not None:
-            raise ProtocolError(f"{self.opcode.value} must not carry data")
-        if self.opcode is Opcode.PARTIAL_WRITE:
-            if self.byte_enable is None or len(self.byte_enable) != CACHE_LINE_BYTES:
+        elif data is not None:
+            raise ProtocolError(f"{opcode.value} must not carry data")
+        if opcode is Opcode.PARTIAL_WRITE:
+            if byte_enable is None or len(byte_enable) != CACHE_LINE_BYTES:
                 raise ProtocolError(
                     "partial_write requires a 128B byte-enable mask"
                 )
-        elif self.byte_enable is not None:
-            raise ProtocolError(f"{self.opcode.value} must not carry byte enables")
+        elif byte_enable is not None:
+            raise ProtocolError(f"{opcode.value} must not carry byte enables")
+        self.opcode = opcode
+        self.address = address
+        self.tag = tag
+        self.data = data
+        self.byte_enable = byte_enable
+        self.journey = journey
 
 
-@dataclass
+@dataclass(init=False)
 class Response:
     """Completion sent by the buffer back to the processor.
 
@@ -126,13 +146,16 @@ class Response:
     opcode: Opcode
     data: Optional[bytes] = None
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.tag < 32:
-            raise ProtocolError(f"tag {self.tag} outside the 32-tag window")
-        if self.opcode.returns_data:
-            if self.data is None or len(self.data) != CACHE_LINE_BYTES:
+    def __init__(self, tag: int, opcode: Opcode, data: Optional[bytes] = None):
+        if not 0 <= tag < 32:
+            raise ProtocolError(f"tag {tag} outside the 32-tag window")
+        if opcode.returns_data:
+            if data is None or len(data) != CACHE_LINE_BYTES:
                 raise ProtocolError(
-                    f"{self.opcode.value} response requires a {CACHE_LINE_BYTES}B payload"
+                    f"{opcode.value} response requires a {CACHE_LINE_BYTES}B payload"
                 )
-        elif self.data is not None:
-            raise ProtocolError(f"{self.opcode.value} response must not carry data")
+        elif data is not None:
+            raise ProtocolError(f"{opcode.value} response must not carry data")
+        self.tag = tag
+        self.opcode = opcode
+        self.data = data

@@ -161,20 +161,17 @@ class DoneNotice:
 
 
 class Frame:
-    """Common behaviour of downstream and upstream frames."""
+    """Common behaviour of downstream and upstream frames.
+
+    Subclass constructors validate their fields inline (every frame is
+    built on the hot path, so they do not chain to a base ``__init__``);
+    :func:`_check_seq` holds the error messages they share.
+    """
 
     __slots__ = ("seq_id", "ack_seq")
 
     wire_bytes: int = 0
     direction: str = ""
-
-    def __init__(self, seq_id: int, ack_seq: Optional[int] = None):
-        if not 0 <= seq_id < SEQ_MOD:
-            raise ProtocolError(f"sequence ID {seq_id} outside 6-bit space")
-        if ack_seq is not None and not 0 <= ack_seq < SEQ_MOD:
-            raise ProtocolError(f"ACK sequence {ack_seq} outside 6-bit space")
-        self.seq_id = seq_id
-        self.ack_seq = ack_seq
 
     def pack(self) -> bytes:
         raise NotImplementedError
@@ -186,6 +183,13 @@ class Frame:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         ack = f" ack={self.ack_seq}" if self.ack_seq is not None else ""
         return f"<{type(self).__name__} seq={self.seq_id}{ack}>"
+
+
+def _check_seq(seq_id: int, ack_seq: Optional[int]) -> None:
+    """Raise for a sequence or ACK ID outside the 6-bit space."""
+    if not 0 <= seq_id < SEQ_MOD:
+        raise ProtocolError(f"sequence ID {seq_id} outside 6-bit space")
+    raise ProtocolError(f"ACK sequence {ack_seq} outside 6-bit space")
 
 
 def _check_framed(framed: bytes, kind: int, what: str) -> bytes:
@@ -204,7 +208,8 @@ def _check_framed(framed: bytes, kind: int, what: str) -> bytes:
 class DownstreamFrame(Frame):
     """Processor -> buffer frame: optional command + optional write-data chunk."""
 
-    __slots__ = ("command", "chunk")
+    #: ``is_idle``: no command and no data, a pure ACK carrier
+    __slots__ = ("command", "chunk", "is_idle")
 
     KIND = 0xD0
     wire_bytes = DOWN_WIRE_BYTES
@@ -217,17 +222,22 @@ class DownstreamFrame(Frame):
         command: Optional[CommandHeader] = None,
         chunk: Optional[DataChunk] = None,
     ):
-        super().__init__(seq_id, ack_seq)
-        if chunk is not None and len(chunk.data) > DOWN_DATA_CHUNK:
-            raise ProtocolError(
-                f"downstream chunk of {len(chunk.data)}B exceeds {DOWN_DATA_CHUNK}B"
-            )
+        if not 0 <= seq_id < SEQ_MOD or (
+            ack_seq is not None and not 0 <= ack_seq < SEQ_MOD
+        ):
+            _check_seq(seq_id, ack_seq)
+        self.seq_id = seq_id
+        self.ack_seq = ack_seq
         self.command = command
+        if chunk is None:
+            self.is_idle = command is None
+        else:
+            if len(chunk.data) > DOWN_DATA_CHUNK:
+                raise ProtocolError(
+                    f"downstream chunk of {len(chunk.data)}B exceeds {DOWN_DATA_CHUNK}B"
+                )
+            self.is_idle = False
         self.chunk = chunk
-
-    @property
-    def is_idle(self) -> bool:
-        return self.command is None and self.chunk is None
 
     def with_ack(self, ack_seq: Optional[int]) -> "DownstreamFrame":
         return DownstreamFrame(self.seq_id, ack_seq, self.command, self.chunk)
@@ -264,7 +274,8 @@ class DownstreamFrame(Frame):
 class UpstreamFrame(Frame):
     """Buffer -> processor frame: up to two dones + optional read-data chunk."""
 
-    __slots__ = ("dones", "chunk")
+    #: ``is_idle``: no dones and no data, a pure ACK carrier
+    __slots__ = ("dones", "chunk", "is_idle")
 
     KIND = 0xD1
     wire_bytes = UP_WIRE_BYTES
@@ -277,19 +288,29 @@ class UpstreamFrame(Frame):
         dones: Optional[List[DoneNotice]] = None,
         chunk: Optional[DataChunk] = None,
     ):
-        super().__init__(seq_id, ack_seq)
-        self.dones = list(dones or [])
-        if len(self.dones) > 2:
-            raise ProtocolError("an upstream frame carries at most two dones")
-        if chunk is not None and len(chunk.data) > UP_DATA_CHUNK:
-            raise ProtocolError(
-                f"upstream chunk of {len(chunk.data)}B exceeds {UP_DATA_CHUNK}B"
-            )
+        if not 0 <= seq_id < SEQ_MOD or (
+            ack_seq is not None and not 0 <= ack_seq < SEQ_MOD
+        ):
+            _check_seq(seq_id, ack_seq)
+        self.seq_id = seq_id
+        self.ack_seq = ack_seq
+        if dones:
+            # a copy: the caller's list (or a frame's, in with_ack) stays its own
+            dones = list(dones)
+            if len(dones) > 2:
+                raise ProtocolError("an upstream frame carries at most two dones")
+            self.dones = dones
+        else:
+            self.dones = []
+        if chunk is None:
+            self.is_idle = not dones
+        else:
+            if len(chunk.data) > UP_DATA_CHUNK:
+                raise ProtocolError(
+                    f"upstream chunk of {len(chunk.data)}B exceeds {UP_DATA_CHUNK}B"
+                )
+            self.is_idle = False
         self.chunk = chunk
-
-    @property
-    def is_idle(self) -> bool:
-        return not self.dones and self.chunk is None
 
     def with_ack(self, ack_seq: Optional[int]) -> "UpstreamFrame":
         return UpstreamFrame(self.seq_id, ack_seq, self.dones, self.chunk)
@@ -339,7 +360,8 @@ class TrainingFrame(Frame):
     direction = "training"
 
     def __init__(self, signature: int, echoed: bool = False):
-        super().__init__(seq_id=0, ack_seq=None)
+        self.seq_id = 0
+        self.ack_seq = None
         if not 0 <= signature < (1 << 16):
             raise ProtocolError(f"training signature {signature} exceeds 16 bits")
         self.signature = signature

@@ -140,6 +140,8 @@ class SerialLink:
         self._trace_label = f"frame:{name}"
         self._deliver: Optional[Callable[[object], None]] = None
         self._decode: Optional[Callable[[bytes], object]] = None
+        #: receiver latency from arrival to ``_deliver`` (see connect())
+        self._deliver_delay_ps = 0
         # Stats
         self.frames_sent = 0
         self.frames_corrupted = 0
@@ -148,19 +150,25 @@ class SerialLink:
     # -- wiring ------------------------------------------------------------
 
     def connect(
-        self, deliver: Callable[[object], None], decode: Callable[[bytes], object]
+        self,
+        deliver: Callable[[object], None],
+        decode: Callable[[bytes], object],
+        delay_ps: int = 0,
     ) -> None:
         """Attach the receiver; called once during channel assembly.
 
-        ``deliver`` receives every arriving frame.  A frame whose bytes
-        arrive changed is first passed, as bytes, through ``decode``, which
-        returns the frame they decode to or the receiver's CRC-drop marker;
-        ``deliver`` gets that result instead.
+        ``deliver`` receives every arriving frame, as its own event
+        ``delay_ps`` after the frame lands (the receiver's internal logic
+        latency; the link schedules it, so a frame costs no trampoline).  A
+        frame whose bytes arrive changed is first passed, as bytes, through
+        ``decode`` at arrival, which returns the frame they decode to or the
+        receiver's CRC-drop marker; ``deliver`` gets that result instead.
         """
         if self._deliver is not None:
             raise ConfigurationError(f"link {self.name!r} already connected")
         self._deliver = deliver
         self._decode = decode
+        self._deliver_delay_ps = delay_ps
 
     # -- timing ------------------------------------------------------------
 
@@ -257,7 +265,7 @@ class SerialLink:
             intact = wire is frame
         assert self._deliver is not None and self._decode is not None
         if intact:
-            self._deliver(frame)
+            self.sim.call_after(self._deliver_delay_ps, self._deliver, frame)
             return
         self.frames_corrupted += 1
         trace = probe.session
@@ -265,7 +273,9 @@ class SerialLink:
             if trace.records_spans:
                 trace.instant("dmi", f"corrupt:{self.name}", self.sim.now_ps)
             trace.count("dmi.frames_corrupted")
-        self._deliver(self._decode(received))
+        self.sim.call_after(
+            self._deliver_delay_ps, self._deliver, self._decode(received)
+        )
 
     def utilization(self, window_ps: int) -> float:
         """Fraction of ``window_ps`` the wire spent serializing frames."""

@@ -24,6 +24,9 @@ class LatencyKnob:
     def __init__(self, clock: ClockDomain = None):
         self.clock = clock or fabric_clock()
         self._position = 0
+        #: added one-way latency on the command path to memory; a plain
+        #: attribute, kept in step by set_position (MBS reads it per command)
+        self.delay_ps = 0
 
     @property
     def position(self) -> int:
@@ -35,15 +38,11 @@ class LatencyKnob:
                 f"latency knob position {position} outside 0..{MAX_POSITION}"
             )
         self._position = position
+        self.delay_ps = self.clock.cycles_to_ps(self.delay_cycles)
 
     @property
     def delay_cycles(self) -> int:
         return self._position * CYCLES_PER_POSITION
-
-    @property
-    def delay_ps(self) -> int:
-        """Added one-way latency on the command path to memory."""
-        return self.clock.cycles_to_ps(self.delay_cycles)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LatencyKnob @ {self._position} (+{self.delay_ps / 1000:.0f} ns)>"

@@ -18,7 +18,7 @@ rate: 16 beats = 8 memory-clock cycles = two BL8 bursts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..errors import AlignmentError, ConfigurationError
@@ -42,25 +42,21 @@ class Ddr3Timing:
     trfc_ps: int = 160_000       # refresh cycle time (4 Gb parts)
     trefi_ps: int = 7_800_000    # average refresh interval
 
-    @property
-    def cas_ps(self) -> int:
-        return self.cl_cycles * self.tck_ps
+    # The same parameters in picoseconds, derived once at construction:
+    # every access reads several of them.
+    cas_ps: int = field(init=False, repr=False, compare=False)
+    trcd_ps: int = field(init=False, repr=False, compare=False)
+    trp_ps: int = field(init=False, repr=False, compare=False)
+    tras_ps: int = field(init=False, repr=False, compare=False)
+    twr_ps: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def trcd_ps(self) -> int:
-        return self.trcd_cycles * self.tck_ps
-
-    @property
-    def trp_ps(self) -> int:
-        return self.trp_cycles * self.tck_ps
-
-    @property
-    def tras_ps(self) -> int:
-        return self.tras_cycles * self.tck_ps
-
-    @property
-    def twr_ps(self) -> int:
-        return self.twr_cycles * self.tck_ps
+    def __post_init__(self) -> None:
+        derive = object.__setattr__  # the dataclass is frozen
+        derive(self, "cas_ps", self.cl_cycles * self.tck_ps)
+        derive(self, "trcd_ps", self.trcd_cycles * self.tck_ps)
+        derive(self, "trp_ps", self.trp_cycles * self.tck_ps)
+        derive(self, "tras_ps", self.tras_cycles * self.tck_ps)
+        derive(self, "twr_ps", self.twr_cycles * self.tck_ps)
 
     def burst_ps(self, nbytes: int) -> int:
         """Data-bus time for ``nbytes`` over a 64-bit DDR bus.

@@ -192,25 +192,16 @@ class Power8Socket:
         """Read the 128B line at a real address; fires with the data after
         the full path including the host-side constant."""
         slot, local = self._route(real_addr)
-        result = Signal(f"{self.name}.rd@{real_addr:#x}")
-        inner = slot.host_mc.read_line(local)
-        inner.add_waiter(
-            lambda data: self.sim.call_after(
-                self.config.host_path_ps, result.trigger, data
-            )
+        return slot.host_mc.read_line(
+            local, Signal(f"{self.name}.rd@{real_addr:#x}"), self.config.host_path_ps
         )
-        return result
 
     def write_line(self, real_addr: int, data: bytes) -> Signal:
         slot, local = self._route(real_addr)
-        result = Signal(f"{self.name}.wr@{real_addr:#x}")
-        inner = slot.host_mc.write_line(local, data)
-        inner.add_waiter(
-            lambda resp: self.sim.call_after(
-                self.config.host_path_ps, result.trigger, resp
-            )
+        return slot.host_mc.write_line(
+            local, data, Signal(f"{self.name}.wr@{real_addr:#x}"),
+            self.config.host_path_ps,
         )
-        return result
 
     def flush_channel(self, channel_no: int) -> Signal:
         """Issue the ConTutto flush extension on a channel."""

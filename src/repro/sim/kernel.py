@@ -131,8 +131,9 @@ class Simulator:
                 trace.complete(
                     "kernel", "run", start_ps, self.now_ps, {"events": executed}
                 )
-            trace.count("kernel.runs")
-            trace.count("kernel.events", executed)
+            counters = trace.counters
+            counters["kernel.runs"].count += 1
+            counters["kernel.events"].count += executed
         return executed
 
     def run_until_signal(
@@ -166,8 +167,9 @@ class Simulator:
                     "kernel", "run_until_signal", start_ps, self.now_ps,
                     {"signal": signal.name, "events": executed},
                 )
-            trace.count("kernel.signal_waits")
-            trace.count("kernel.events", executed)
+            counters = trace.counters
+            counters["kernel.signal_waits"].count += 1
+            counters["kernel.events"].count += executed
         return signal.value
 
     def _dispatch(self, until_ps: Optional[int], max_events: int, stop: Signal) -> int:

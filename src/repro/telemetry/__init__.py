@@ -43,10 +43,11 @@ from .buckets import bucket_of, slice_width, sparkline
 from .chrome import load_chrome_trace, to_chrome_events, write_chrome_trace
 from .metrics import Counter, Gauge, Histogram, Metric
 from .registry import MetricsRegistry
-from .session import TraceEvent, TraceSession
+from .session import BoundMetrics, TraceEvent, TraceSession
 
 __all__ = [
     "ATTRIBUTION_SCHEMA",
+    "BoundMetrics",
     "Counter",
     "Gauge",
     "Histogram",

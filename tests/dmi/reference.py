@@ -123,4 +123,6 @@ class PackingLink(SerialLink):
             if trace is not None:
                 trace.instant("dmi", f"corrupt:{self.name}", self.sim.now_ps)
                 trace.count("dmi.frames_corrupted")
-        self._deliver(self._decode(received))
+        self.sim.call_after(
+            self._deliver_delay_ps, self._deliver, self._decode(received)
+        )

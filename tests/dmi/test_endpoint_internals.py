@@ -1,6 +1,13 @@
 """White-box tests for FrameEndpoint internals: timers, idle ACKs, repack, decode."""
 
-from repro.dmi import Command, DownstreamFrame, Opcode, TrainingFrame, UpstreamFrame
+from repro.dmi import (
+    Command,
+    DataChunk,
+    DownstreamFrame,
+    Opcode,
+    TrainingFrame,
+    UpstreamFrame,
+)
 from repro.dmi.channel import CrcDrop
 from repro.sim import Simulator
 from repro.telemetry import TraceSession
@@ -20,22 +27,30 @@ class TestAckTimeoutMath:
         channel = quiet_channel(sim)
         ep = channel.host_endpoint
         base = ep.frtl_ps + ep.config.ack_timeout_margin_ps
-        assert ep._ack_timeout_ps == base  # nothing outstanding
+        assert ep._ack_deadline_ps() is None  # nothing outstanding
         # enqueue a write: 8 frames outstanding extend the timeout
         channel.host.issue(Command(Opcode.WRITE, 0, 0, bytes(128)))
         sim.run(until_ps=sim.now_ps + 5_000)
-        outstanding = ep._replay.outstanding
+        outstanding = len(ep._held)
         assert outstanding > 0
-        assert ep._ack_timeout_ps == base + outstanding * ep.tx_link.frame_wire_ps
+        _, oldest_sent_ps = next(iter(ep._held.values()))
+        timeout = ep._ack_deadline_ps() - oldest_sent_ps
+        assert timeout == base + outstanding * ep.tx_link.frame_wire_ps
 
     def test_no_replays_or_ack_checks_leak_after_quiesce(self):
         sim = Simulator()
         channel = quiet_channel(sim)
         sim.run_until_signal(channel.host.issue(Command(Opcode.READ, 0, 0)))
         sim.run()
-        assert channel.host_endpoint._replay.outstanding == 0
-        assert channel.buffer_endpoint._replay.outstanding == 0
+        assert not channel.host_endpoint._held
+        assert not channel.buffer_endpoint._held
         assert sim.pending_events == 0  # the system fully quiesces
+
+
+def owe_ack(ep):
+    """Make ``ep`` owe its peer an ACK: hand it a duplicate of the last
+    payload frame it accepted, as a peer replaying after a lost ACK would."""
+    ep._process_rx(UpstreamFrame(ep._last_accepted, None, [], DataChunk(0, 0, b"")))
 
 
 class TestIdleAckBehaviour:
@@ -48,7 +63,7 @@ class TestIdleAckBehaviour:
         accepted_before = buffer_ep.frames_accepted
         dups_before = buffer_ep.duplicates_seen
         # force the host to send a pure idle ACK now
-        channel.host_endpoint._note_ack_owed()
+        owe_ack(channel.host_endpoint)
         sim.run()
         # the idle frame must be classified as a duplicate, never as new
         assert buffer_ep.frames_accepted == accepted_before
@@ -62,7 +77,7 @@ class TestIdleAckBehaviour:
         ep = channel.host_endpoint
         sent_before = ep.tx_link.frames_sent
         for _ in range(10):
-            ep._note_ack_owed()  # storm of ack-owed notes coalesces
+            owe_ack(ep)  # storm of ack-owed notes coalesces
         sim.run()
         assert ep.tx_link.frames_sent - sent_before <= 2
 
@@ -104,7 +119,7 @@ class TestRepack:
         # first copy is still on the wire
         frame = DownstreamFrame(seq_id=0, ack_seq=None)
         link.send(frame)
-        ep._replay.hold(0, frame, sim.now_ps)
+        ep._held[0] = (frame, sim.now_ps)
         ep._last_accepted = 42
         ep._do_replay()
         sim.run(until_ps=sim.now_ps + 2 * (link.frame_wire_ps + link.latency_ps))

@@ -135,7 +135,7 @@ class TestReplayBufferBackpressure:
         sim.run(until_ps=sim.now_ps + 2_000_000)
         host = channel.host_endpoint
         assert channel.operational          # stalled, not dead
-        assert host._replay.is_full         # window full of unacked frames
+        assert len(host._held) == host.config.replay_depth  # window full
         assert host._tx_queue               # the rest backpressured
         assert not any(s.triggered for s in signals)
 

@@ -73,5 +73,5 @@ class TestChannelRecovery:
         channel.reset()
         assert channel.host_endpoint._last_accepted is None
         assert channel.host_endpoint._next_tx_seq == 0
-        assert channel.buffer_endpoint._replay.outstanding == 0
+        assert not channel.buffer_endpoint._held
         assert not channel.host.in_flight
