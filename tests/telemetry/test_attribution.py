@@ -41,13 +41,13 @@ class TestJourneyTracker:
         assert journey.total_ps == 1000
         assert journey.attributed_ps() == 1000      # top-level stages tile
         assert journey.unattributed_ps() == 0
-        top = [v for v in journey.stages if not v.nested]
-        assert [v.stage for v in top] == [
+        top = [v for v in journey.stages if not v["nested"]]
+        assert [v["stage"] for v in top] == [
             "host.tag_wait", "dmi.down", "buffer", "dmi.up"
         ]
         # each stage starts where the previous ended
         for prev, nxt in zip(top, top[1:]):
-            assert nxt.start_ps == prev.end_ps
+            assert nxt["start_ps"] == prev["end_ps"]
 
     def test_zero_length_stage_skipped_but_cursor_advances(self):
         tracker = JourneyTracker()
@@ -56,14 +56,14 @@ class TestJourneyTracker:
         tracker.stage_to(jid, "dmi.down", 300)
         tracker.finish(jid, 300)
         journey = tracker.completed[0]
-        assert [v.stage for v in journey.stages] == ["dmi.down"]
-        assert journey.stages[0].start_ps == 0   # cursor stayed put
+        assert [v["stage"] for v in journey.stages] == ["dmi.down"]
+        assert journey.stages[0]["start_ps"] == 0   # cursor stayed put
         assert journey.unattributed_ps() == 0
 
     def test_queue_vs_service_classification(self):
         tracker = JourneyTracker()
         make_journey(tracker)
-        kinds = {v.stage: v.kind for v in tracker.completed[0].stages}
+        kinds = {v["stage"]: v["kind"] for v in tracker.completed[0].stages}
         assert kinds["host.tag_wait"] == "queue"
         assert kinds["memory.queue"] == "queue"
         assert kinds["dmi.down"] == "service"
@@ -77,9 +77,9 @@ class TestJourneyTracker:
         tracker.stage_to(jid, "buffer", 200)
         tracker.finish(jid, 200)
         buffer = next(
-            v for v in tracker.completed[0].stages if v.stage == "buffer"
+            v for v in tracker.completed[0].stages if v["stage"] == "buffer"
         )
-        assert (buffer.start_ps, buffer.end_ps) == (100, 200)
+        assert (buffer["start_ps"], buffer["end_ps"]) == (100, 200)
 
     def test_binding_round_trip(self):
         tracker = JourneyTracker()
