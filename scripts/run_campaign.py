@@ -102,7 +102,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="S",
-        help="per-job wall-clock limit in seconds",
+        help="per-job wall-clock limit in seconds (needs --jobs > 1)",
     )
     parser.add_argument(
         "--retries", type=int, default=1, metavar="N",
@@ -123,6 +123,10 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if args.timeout is not None and args.jobs == 1:
+        print("--timeout needs --jobs > 1: an inline job cannot be preempted",
+              file=sys.stderr)
+        return 2
     if args.matrix:
         matrix = load_matrix(args.matrix)
     else:

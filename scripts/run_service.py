@@ -81,13 +81,17 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="S",
-        help="per-job wall-clock limit in seconds",
+        help="per-job wall-clock limit in seconds (needs --shards > 1)",
     )
     return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if args.timeout is not None and args.shards == 1:
+        print("--timeout needs --shards > 1: an inline job cannot be preempted",
+              file=sys.stderr)
+        return 2
     try:
         schedule = ArrivalSchedule.from_json(
             Path(args.schedule).read_text(encoding="utf-8")

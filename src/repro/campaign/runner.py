@@ -13,7 +13,9 @@ completion:
   with exponential backoff, then recorded with its traceback; the rest
   of the campaign completes regardless.  A per-job ``timeout_s`` marks a
   stuck job failed (its worker is abandoned to finish in the background
-  — a process pool cannot preempt a running task);
+  — a process pool cannot preempt a running task).  It needs a pool: an
+  inline job runs in the caller's process, where nothing can stop it, so
+  ``workers=1`` with a timeout is rejected rather than silently ignored;
 * **resumable** — every completion is journaled to a JSONL manifest;
   ``resume=True`` replays ``status="ok"`` journal entries from cache and
   re-runs only what is missing or failed.
@@ -184,6 +186,10 @@ class CampaignRunner:
             raise ValueError("retries must be >= 0")
         if resume and cache is None:
             raise ValueError("resume requires a result cache to replay from")
+        if timeout_s is not None and workers == 1:
+            raise ValueError(
+                "timeout_s needs workers > 1: an inline job cannot be preempted"
+            )
         if attribution_mode not in ("journeys", "summary"):
             raise ValueError("attribution_mode must be 'journeys' or 'summary'")
         self.jobs = list(jobs)

@@ -119,7 +119,8 @@ class ServiceDriver:
         # every (repetition, shard) job below reuses its profiles artifact
         calib_report = CampaignRunner(
             [CampaignJob.make("service_calibrate", calib_kwargs, seed=self.seed)],
-            workers=1,
+            # inline unless a timeout needs a pool worker it can abandon
+            workers=1 if self.timeout_s is None else 2,
             cache=self.cache,
             manifest_path=str(out_dir / "calib-manifest.jsonl"),
             timeout_s=self.timeout_s,

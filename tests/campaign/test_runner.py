@@ -77,6 +77,15 @@ class TestExecution:
         assert failed.job.experiment == "_selftest_sleep"
         assert "TimeoutError" in failed.error
 
+    def test_inline_timeout_rejected(self):
+        # an inline job runs in the caller's process: nothing can preempt
+        # it, so a timeout there would be silently ignored
+        with pytest.raises(ValueError, match="timeout_s needs workers > 1"):
+            CampaignRunner(echo_matrix([1]).expand(), workers=1, timeout_s=5.0)
+        # without a timeout, and with a pool, the same jobs are accepted
+        CampaignRunner(echo_matrix([1]).expand(), workers=1)
+        CampaignRunner(echo_matrix([1]).expand(), workers=2, timeout_s=5.0)
+
     def test_validates_configuration(self):
         with pytest.raises(ValueError):
             CampaignRunner([], workers=0)
