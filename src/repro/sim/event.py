@@ -15,7 +15,7 @@ Two things live here:
 
 from __future__ import annotations
 
-from typing import Any, Callable, List
+from typing import Any, Callable, List, Optional
 
 #: slot indices of a :class:`ScheduledCall`
 TIME, SEQ, FN, ARGS, SIM = range(5)
@@ -85,7 +85,8 @@ class Signal:
         self.name = name
         self._triggered = False
         self._value: Any = None
-        self._waiters: List[Callable[[Any], None]] = []
+        # created by the first add_waiter: most signals get one waiter or none
+        self._waiters: Optional[List[Callable[[Any], None]]] = None
 
     @property
     def triggered(self) -> bool:
@@ -103,14 +104,18 @@ class Signal:
             raise RuntimeError(f"signal {self.name!r} triggered twice")
         self._triggered = True
         self._value = value
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter(value)
+        waiters = self._waiters
+        if waiters is not None:
+            self._waiters = None
+            for waiter in waiters:
+                waiter(value)
 
     def add_waiter(self, callback: Callable[[Any], None]) -> None:
         """Register ``callback(value)``; called immediately if already fired."""
         if self._triggered:
             callback(self._value)
+        elif self._waiters is None:
+            self._waiters = [callback]
         else:
             self._waiters.append(callback)
 
