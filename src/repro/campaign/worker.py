@@ -59,6 +59,12 @@ def execute_job(payload: Tuple[str, tuple, int]) -> Dict[str, object]:
                 if journeys is not None else []
             )
             summaries = []
+        if journeys is not None:
+            # The records (or summaries) are what the job returns.  The
+            # finished simulation is cyclic garbage whose model closures can
+            # still reach the tracker, so drop its journeys now rather than
+            # whenever the cyclic collector frees that garbage.
+            journeys.completed.clear()
         return {
             "status": "ok",
             "job_id": job.job_id,
