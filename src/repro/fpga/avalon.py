@@ -93,8 +93,9 @@ class AvalonBus:
 
     def _route(self, addr: int) -> Tuple[object, int]:
         for win in self._windows:
-            if win.contains(addr):
-                return win.slave, addr - win.base
+            base = win.base
+            if base <= addr < base + win.size:  # win.contains(addr), inlined
+                return win.slave, addr - base
         raise AddressRangeError(f"{self.name}: no slave at address {addr:#x}")
 
     @property
